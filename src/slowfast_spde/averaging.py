@@ -143,16 +143,20 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     for _ in range(n_burn):
         y, _ = step(y)
 
+    # Projection is linear, so the window's drift is averaged on the grid
+    # and projected once; NaN and inf survive the sum, so one check after
+    # the window rejects a non-finite value on any step.
     if params.strategy == "time-average":
-        acc = np.zeros((big, n))
+        b_grid = np.zeros((big, config.m_points))
         for _ in range(n_avg):
             y, y_grid = step(y)
-            acc += grid_values_to_coeffs(config.drift_b(x_grid, y_grid), n)
-        per_replica = (acc / n_avg).reshape(n_p, reps, n)
+            b_grid += config.drift_b(x_grid, y_grid)
+        b_grid /= n_avg
     else:  # ensemble-at-horizon: one sample per replica at the horizon
-        y_grid = coeffs_to_grid_values(y, config.m_points)
-        per_replica = grid_values_to_coeffs(
-            config.drift_b(x_grid, y_grid), n).reshape(n_p, reps, n)
+        b_grid = config.drift_b(x_grid, coeffs_to_grid_values(y, config.m_points))
+    if not np.all(np.isfinite(b_grid)):
+        raise IntegrationError("slow drift returned a non-finite value")
+    per_replica = grid_values_to_coeffs(b_grid, n).reshape(n_p, reps, n)
 
     values = per_replica.mean(axis=1)
     dev = per_replica - values[:, None, :]

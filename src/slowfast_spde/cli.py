@@ -143,12 +143,15 @@ def cmd_simulate(args) -> int:
 
 
 def _averaging_params(rc: ResolvedConfig, args) -> AveragingParams:
-    t_burn = getattr(args, "Tb", None)
-    if t_burn is None:
-        t_burn = rc.t_burn
-    t_avg = getattr(args, "Ta", None) or rc.t_avg
-    dt = getattr(args, "dt_frozen", None) or rc.dt_frozen
-    replicas = getattr(args, "replicas", None) or rc.replicas
+    def flag_or(name, default):
+        # an explicit 0 must reach AveragingParams, which rejects it
+        value = getattr(args, name, None)
+        return default if value is None else value
+
+    t_burn = flag_or("Tb", rc.t_burn)
+    t_avg = flag_or("Ta", rc.t_avg)
+    dt = flag_or("dt_frozen", rc.dt_frozen)
+    replicas = flag_or("replicas", rc.replicas)
     if t_burn is None:
         return AveragingParams.for_model(rc.model, t_avg=t_avg, dt=dt,
                                          n_replicas=replicas)
@@ -272,9 +275,11 @@ def cmd_zvonkin(args) -> int:
         values, _ = estimate_bbar_batch(model, xs, params, seed)
         return values[:, :d]
 
+    # The solvers read the drift only at g's nodes, where the table
+    # returns its values exactly: one Monte-Carlo estimate serves all.
     g = TruncatedFunction.from_callable(bbar_truncated, axes)
-    rows = dlambda_curve(g, bbar_truncated, kernel, lambdas)
-    sol = picard_solve(g, bbar_truncated, lambdas[0], kernel)
+    rows = dlambda_curve(g, g, kernel, lambdas)
+    sol = picard_solve(g, g, lambdas[0], kernel)
 
     out = Path(args.out)
     csv_rows = [tuple(f"x_{j+1}" for j in range(d))

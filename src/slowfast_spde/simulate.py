@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +117,44 @@ def _drift_coeffs(drift, x_grid, y_coeffs, config: ModelConfig) -> np.ndarray:
     return grid_values_to_coeffs(vals, config.n_modes)
 
 
+class _MacroLaws(NamedTuple):
+    """Per-macro-step constants of the coupled scheme at fixed eps."""
+
+    dt: float
+    slow: tuple[np.ndarray, np.ndarray]  # (decay, std) over dt
+    n_sub: int
+    h_fast: float  # substep measured in fast time
+    fast: tuple[np.ndarray, np.ndarray]  # (decay, std) over h_fast
+
+
+def _macro_laws(scheme: StepScheme, eps: float, config: ModelConfig) -> _MacroLaws:
+    dt = scheme.dt_macro
+    n_sub = scheme.n_substeps(eps)
+    h_fast = dt / n_sub / eps
+    return _MacroLaws(dt, conv_increment_law(dt, config.q1, config.eigs),
+                      n_sub, h_fast, conv_increment_law(h_fast, config.q2, config.eigs))
+
+
+def _step(state: SlowFastState, laws: _MacroLaws, w1: NoiseStream,
+          w2: NoiseStream, config: ModelConfig) -> SlowFastState:
+    n_paths = None if state.x.ndim == 1 else state.x.shape[0]
+    dt = laws.dt
+    decay1, std1 = laws.slow
+    x_grid = coeffs_to_grid_values(state.x, config.m_points)
+
+    b = _drift_coeffs(config.drift_b, x_grid, state.y, config)
+    x_new = decay1 * (state.x + dt * b) + std1 * w1.standard_normals(n_paths)
+
+    decay2, std2 = laws.fast
+    h_fast = laws.h_fast
+    y = state.y
+    for _ in range(laws.n_sub):
+        f = _drift_coeffs(config.drift_f, x_grid, y, config)
+        y = decay2 * (y + h_fast * f) + std2 * w2.standard_normals(n_paths)
+
+    return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
+
+
 def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
                    w2: NoiseStream, config: ModelConfig) -> SlowFastState:
     """Advance the coupled system by one macro step.
@@ -127,23 +166,7 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
     slow argument frozen at the macro-step start.  Draw order per macro
     step: one W1 vector, then n_sub W2 vectors.
     """
-    n_paths = None if state.x.ndim == 1 else state.x.shape[0]
-    dt = scheme.dt_macro
-    decay1, std1 = conv_increment_law(dt, config.q1, config.eigs)
-    x_grid = coeffs_to_grid_values(state.x, config.m_points)
-
-    b = _drift_coeffs(config.drift_b, x_grid, state.y, config)
-    x_new = decay1 * (state.x + dt * b) + std1 * w1.standard_normals(n_paths)
-
-    n_sub = scheme.n_substeps(state.eps)
-    h_fast = dt / n_sub / state.eps  # substep measured in fast time
-    decay2, std2 = conv_increment_law(h_fast, config.q2, config.eigs)
-    y = state.y
-    for _ in range(n_sub):
-        f = _drift_coeffs(config.drift_f, x_grid, y, config)
-        y = decay2 * (y + h_fast * f) + std2 * w2.standard_normals(n_paths)
-
-    return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
+    return _step(state, _macro_laws(scheme, state.eps, config), w1, w2, config)
 
 
 def _check_initial(coeffs, config) -> np.ndarray:
@@ -161,8 +184,9 @@ def simulate_slow_fast(config: ModelConfig, eps: float, x0, y0, t_final: float,
     """Integrate the coupled system on [0, T]; returns (slow, fast) paths.
 
     The number of macro steps is round(T / dt); trajectories are stored
-    at every macro node.  Reruns with equal seeds and schemes are
-    bit-identical.
+    at every macro node.  The noise laws of a macro step are computed
+    once per call, as dt, eps and the spectra are fixed along the path.
+    Reruns with equal seeds and schemes are bit-identical.
     """
     x = _check_initial(x0, config)
     y = _check_initial(y0, config)
@@ -172,8 +196,9 @@ def simulate_slow_fast(config: ModelConfig, eps: float, x0, y0, t_final: float,
     ys = np.empty((n_steps + 1,) + y.shape)
     xs[0], ys[0] = x, y
     state = SlowFastState(x=x, y=y, t=0.0, eps=eps)
+    laws = _macro_laws(scheme, eps, config)
     for i in range(1, n_steps + 1):
-        state = step_slow_fast(state, scheme, w1, w2, config)
+        state = _step(state, laws, w1, w2, config)
         xs[i], ys[i] = state.x, state.y
     return Trajectory(times, xs), Trajectory(times, ys)
 

@@ -6,10 +6,22 @@ as its first N coefficients against the orthonormal eigenbasis
     e_k(xi) = sqrt(2/pi) * sin(k * xi),        k = 1, 2, ...
 
 of the Dirichlet Laplacian.  The physical-space mirror lives on the
-interior grid xi_j = j*pi/(M+1), j = 1..M, where the type-I discrete
-sine transform is an exact orthogonal map between the two
-representations.  All coefficient arrays put the mode axis last, so a
-batch of fields is simply an array of shape (..., N).
+interior grid xi_j = j*pi/(M+1), j = 1..M, where the sampled sine basis
+is an exact orthogonal map between the two representations.  All
+coefficient arrays put the mode axis last, so a batch of fields is
+simply an array of shape (..., N).
+
+Both directions are dense products with the (N, M) sine matrix
+S[k, j] = e_k(xi_j): ``coeffs @ S`` evaluates on the grid and
+``values @ S.T * pi/(M+1)`` projects back.  At the sizes the package
+uses (N <= 32, M = 2N) one product costs about a tenth of a type-I DST
+call.  The matrices are built on first use per (N, M), kept read-only
+in a small bounded cache, and never built at import.  Batches are
+multiplied in row blocks of at most 2^19 multiply-adds, because
+OpenBLAS hands a product of about 2^20 or more to a second thread: on
+two CPUs that thread spins, so CPU time rises faster than wall time
+falls.  (A single row of N*M > 2^19, i.e. N > 512 at M = 2N, is still
+one call, which BLAS may thread.)
 
 The semigroup e^{tA}, fractional powers (-A)^{s/2} and Sobolev-type
 norms ||u||_s = |(-A)^{s/2} u| are diagonal in this basis and are
@@ -21,9 +33,9 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "PI",
@@ -147,14 +159,46 @@ def basis_field(k: int, n_modes: int) -> SpectralField:
     return SpectralField(c)
 
 
+# Largest product (rows x inner x outer multiply-adds) handed to BLAS in
+# one call; OpenBLAS starts its second thread at about twice this.
+_BLOCK_MADDS = 1 << 19
+
+
+@lru_cache(maxsize=8)
+def _sine_matrices(n_modes: int, m_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N, M) evaluation and (M, N) projection matrices."""
+    j = np.arange(1, m_points + 1)
+    k = np.arange(1, n_modes + 1)
+    # reduce k*j modulo the period 2(M+1) before scaling, so every sine
+    # argument lies in [0, 2 pi) and is exact to one rounding
+    phase = np.outer(k, j) % (2 * (m_points + 1))
+    evaluate = np.sqrt(2.0 / PI) * np.sin(phase * (PI / (m_points + 1)))
+    project = np.ascontiguousarray(evaluate.T) * (PI / (m_points + 1))
+    evaluate.setflags(write=False)
+    project.setflags(write=False)
+    return evaluate, project
+
+
+def _apply(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``a @ matrix`` over the last axis, in single-threaded row blocks."""
+    n_in, n_out = matrix.shape
+    block = max(1, _BLOCK_MADDS // (n_in * n_out))
+    rows = a.reshape(-1, n_in)
+    if rows.shape[0] <= block:
+        return a @ matrix
+    out = np.empty((rows.shape[0], n_out))
+    for i in range(0, rows.shape[0], block):
+        np.matmul(rows[i:i + block], matrix, out=out[i:i + block])
+    return out.reshape(a.shape[:-1] + (n_out,))
+
+
 def grid_values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Fast path of ``from_grid`` on raw arrays (mode axis last)."""
     values = np.asarray(values, dtype=float)
     m = values.shape[-1]
     if m < n_modes:
         raise ValueError(f"grid too coarse: M={m} < N={n_modes}")
-    full = np.sqrt(PI / (m + 1)) * dst(values, type=1, norm="ortho", axis=-1)
-    return np.ascontiguousarray(full[..., :n_modes])
+    return _apply(values, _sine_matrices(n_modes, m)[1])
 
 
 def coeffs_to_grid_values(coeffs: np.ndarray, m_points: int) -> np.ndarray:
@@ -163,10 +207,7 @@ def coeffs_to_grid_values(coeffs: np.ndarray, m_points: int) -> np.ndarray:
     n = coeffs.shape[-1]
     if m_points < n:
         raise ValueError(f"grid too coarse: M={m_points} < N={n}")
-    if m_points > n:
-        pad = np.zeros(coeffs.shape[:-1] + (m_points - n,))
-        coeffs = np.concatenate([coeffs, pad], axis=-1)
-    return dst(coeffs, type=1, norm="ortho", axis=-1) * np.sqrt((m_points + 1) / PI)
+    return _apply(coeffs, _sine_matrices(n, m_points)[0])
 
 
 def from_grid(grid: GridField, n_modes: int) -> SpectralField:

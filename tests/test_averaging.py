@@ -8,13 +8,39 @@ import pytest
 from slowfast_spde.averaging import (AveragingParams, BbarOracle,
                                      estimate_bbar, estimate_bbar_batch,
                                      mixing_diagnostic)
-from slowfast_spde.errors import ConfigError, ErgodicityError
+from slowfast_spde.errors import ConfigError, ErgodicityError, IntegrationError
 from slowfast_spde.model import heat_example
+from slowfast_spde.noise import conv_increment_law, derive_substream
 from slowfast_spde.spectral import PI, coeffs_to_grid_values, grid_values_to_coeffs
 
 
 def zero_drift(x_grid, y_grid):
     return np.zeros_like(x_grid)
+
+
+def per_step_projection_estimate(config, xs, params, seed):
+    """Reference time-average estimator that projects B(x, Y_t) to
+    coefficients on every step of the window, in the package's draw order."""
+    reps, n = params.n_replicas, config.n_modes
+    big = xs.shape[0] * reps
+    stream = derive_substream(seed, 0, "bbar", n)
+    x_grid = coeffs_to_grid_values(np.repeat(xs, reps, axis=0), config.m_points)
+    decay, std = conv_increment_law(params.dt, config.q2, config.eigs)
+    n_burn = int(round(params.t_burn / params.dt))
+    n_avg = max(1, int(round(params.t_avg / params.dt)))
+    y = np.zeros((big, n))
+    acc = np.zeros((big, n))
+    for i in range(n_burn + n_avg):
+        y_grid = coeffs_to_grid_values(y, config.m_points)
+        if i >= n_burn:
+            acc += grid_values_to_coeffs(config.drift_b(x_grid, y_grid), n)
+        f = grid_values_to_coeffs(config.drift_f(x_grid, y_grid), n)
+        y = decay * (y + params.dt * f) + std * stream.standard_normals(big)
+    per_replica = (acc / n_avg).reshape(-1, reps, n)
+    values = per_replica.mean(axis=1)
+    dev = per_replica - values[:, None, :]
+    stderr = np.sqrt(np.sum(dev**2, axis=(1, 2)) / (reps * (reps - 1)))
+    return values, stderr
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +98,36 @@ class TestEstimate:
         b = estimate_bbar(heat, np.zeros(8), ens, seed=8)
         assert np.linalg.norm(a.value - b.value) <= 4.0 * np.hypot(a.stderr,
                                                                    b.stderr)
+
+    def test_grid_side_average_matches_per_step_projection(self, heat, rng):
+        params = AveragingParams(t_burn=2.0, t_avg=4.0, dt=0.02, n_replicas=3)
+        xs = rng.standard_normal((5, 8)) * 0.5
+        values, stderr = estimate_bbar_batch(heat, xs, params, seed=20)
+        ref_values, ref_stderr = per_step_projection_estimate(heat, xs, params, 20)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
+        assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12 * np.max(ref_stderr)
+
+    @pytest.mark.parametrize("strategy,bad_call,bad", [
+        ("time-average", 3, np.nan),
+        ("time-average", 5, np.inf),
+        ("time-average", 1, -np.inf),
+        ("ensemble-at-horizon", 1, np.nan),
+    ])
+    def test_rejects_non_finite_slow_drift(self, heat, strategy, bad_call, bad):
+        calls = []
+
+        def drift_b(x_grid, y_grid):
+            calls.append(None)
+            out = heat.drift_b(x_grid, y_grid)
+            if len(calls) == bad_call:  # one value on one step only
+                out[0, 2] = bad
+            return out
+
+        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2,
+                                 strategy=strategy)
+        with pytest.raises(IntegrationError, match="slow drift"):
+            estimate_bbar(replace(heat, drift_b=drift_b), np.zeros(8), params,
+                          seed=21)
 
     def test_default_burn_in_formula(self, heat):
         p = AveragingParams.for_model(heat, bias_tol=1e-3)

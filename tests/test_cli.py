@@ -173,6 +173,16 @@ class TestDispatch:
         assert lines[0].split(",") == ["mode", "bbar_coeff", "stderr"]
         assert len(lines) == 1 + 8
 
+    @pytest.mark.parametrize("flag", ["--Ta", "--replicas", "--dt-frozen"])
+    def test_average_zero_value_is_config_error(self, cfg_path, tmp_path,
+                                                 capsys, flag):
+        out = tmp_path / "bbar.csv"
+        code = main(["average", "--config", str(cfg_path), "--x", "zero",
+                     "--Tb", "1", flag, "0", "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_contraction(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "contraction.json"
         code = main(["verify", "--lemma", "contraction", "--config",
@@ -200,6 +210,24 @@ class TestDispatch:
 
 
 class TestZvonkinCommand:
+    def test_one_averaged_drift_estimate_per_run(self, cfg_path, tmp_path,
+                                                 monkeypatch):
+        # the tabulated drift serves every lambda and the final solve
+        from slowfast_spde import averaging
+
+        calls = []
+        estimate = averaging.estimate_bbar_batch
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", counting)
+        code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",
+                     "--grid", "17", "--out", str(tmp_path / "zv.csv")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_d1_solve_emits_tables(self, cfg_path, tmp_path):
         out = tmp_path / "zv.csv"
         code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",

@@ -118,6 +118,30 @@ class TestCouplingAndDeterminism:
         assert np.array_equal(a[0].states, b[0].states)
         assert np.array_equal(a[1].states, b[1].states)
 
+    def test_path_is_repeated_single_steps(self, heat, monkeypatch):
+        # the laws are computed once per path, and the path equals the
+        # public single step applied repeatedly, bit for bit
+        from slowfast_spde import simulate
+
+        calls = []
+
+        def counting_law(*args):
+            calls.append(None)
+            return conv_increment_law(*args)
+
+        monkeypatch.setattr(simulate, "conv_increment_law", counting_law)
+        w1, w2 = streams(8, seed=12)
+        xs, ys = simulate_slow_fast(heat, 1e-1, np.zeros(8), np.zeros(8), 0.2,
+                                    StepScheme(1e-2), w1, w2)
+        assert len(calls) == 2
+        w1, w2 = streams(8, seed=12)
+        state = SlowFastState(x=np.zeros(8), y=np.zeros(8), t=0.0, eps=1e-1)
+        for i in range(1, len(xs)):
+            state = step_slow_fast(state, StepScheme(1e-2), w1, w2, heat)
+            assert np.array_equal(state.x, xs.states[i])
+            assert np.array_equal(state.y, ys.states[i])
+        assert len(calls) == 2 + 2 * (len(xs) - 1)
+
     def test_w1_draw_order_contract(self, heat):
         # decoupled B (independent of y): slow-fast and averaged paths
         # coincide bitwise under replayed W1

@@ -1,12 +1,16 @@
 """Transform pair, norms, and the four semigroup estimates.
 
-The transform tests cross-validate the fast DST path against a direct
-O(N*M) summation oracle; the semigroup estimates are checked with
-their explicit per-mode constants on seeded random fields.
+The transform tests cross-validate the dense sine-matrix pair against a
+direct O(N*M) summation oracle and, as property tests, against scipy's
+orthonormal DST-I; the semigroup estimates are checked with their
+explicit per-mode constants on seeded random fields.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dst
 
 from slowfast_spde import spectral as sp
 
@@ -67,6 +71,73 @@ class TestTransform:
         c2 = rng.standard_normal(8)
         g2 = sp.to_grid(sp.SpectralField(c2), 24)
         assert abs(g.quadrature_inner(g2) - np.dot(c, c2)) < 1e-10
+
+
+def dst_to_grid(coeffs, m_points):
+    """Reference inverse transform: orthonormal DST-I of the padded modes."""
+    pad = [(0, 0)] * (coeffs.ndim - 1) + [(0, m_points - coeffs.shape[-1])]
+    return (dst(np.pad(coeffs, pad), type=1, norm="ortho", axis=-1)
+            * np.sqrt((m_points + 1) / np.pi))
+
+
+def dst_from_grid(values, n_modes):
+    """Reference forward transform: orthonormal DST-I, first N modes."""
+    m = values.shape[-1]
+    full = dst(values, type=1, norm="ortho", axis=-1) * np.sqrt(np.pi / (m + 1))
+    return full[..., :n_modes]
+
+
+@st.composite
+def transform_cases(draw):
+    """(N, M, leading batch shape, seed) with N <= M <= 256; the batch
+    holds one row, or one row block minus one, exactly, or plus one."""
+    m = draw(st.integers(1, 256))
+    n = draw(st.integers(1, m))
+    block = max(1, sp._BLOCK_MADDS // (n * m))
+    rows = draw(st.sampled_from([block - 1, block, block + 1]).filter(bool))
+    lead = draw(st.sampled_from([(), (rows,), (1, rows), (rows, 1)]))
+    return n, m, lead, draw(st.integers(0, 2**32 - 1))
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0), 1e-300)
+
+
+class TestTransformProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(transform_cases())
+    def test_roundtrip_and_parseval(self, case):
+        n, m, lead, seed = case
+        c = np.random.default_rng(seed).standard_normal(lead + (n,))
+        v = sp.coeffs_to_grid_values(c, m)
+        assert v.shape == lead + (m,)
+        assert rel_err(sp.grid_values_to_coeffs(v, n), c) < 1e-12
+        energy = np.pi / (m + 1) * np.sum(v**2, axis=-1)
+        assert rel_err(energy, np.sum(c**2, axis=-1)) < 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(transform_cases())
+    def test_agrees_with_scipy_dst(self, case):
+        n, m, lead, seed = case
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(lead + (n,))
+        v = rng.standard_normal(lead + (m,))
+        assert rel_err(sp.coeffs_to_grid_values(c, m), dst_to_grid(c, m)) < 1e-12
+        assert rel_err(sp.grid_values_to_coeffs(v, n), dst_from_grid(v, n)) < 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(transform_cases())
+    def test_batched_rows_match_rows_alone(self, case):
+        n, m, lead, seed = case
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(lead + (n,)).reshape(-1, n)
+        v = rng.standard_normal(lead + (m,)).reshape(-1, m)
+        to_grid = sp.coeffs_to_grid_values(c, m)
+        from_grid = sp.grid_values_to_coeffs(v, n)
+        block = max(1, sp._BLOCK_MADDS // (n * m))
+        for i in {0, min(block, len(c)) - 1, min(block, len(c) - 1), len(c) - 1}:
+            assert rel_err(to_grid[i], sp.coeffs_to_grid_values(c[i], m)) < 1e-14
+            assert rel_err(from_grid[i], sp.grid_values_to_coeffs(v[i], n)) < 1e-14
 
 
 class TestNormsAndOperators:
