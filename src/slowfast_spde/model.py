@@ -38,7 +38,7 @@ from scipy.special import gammainc
 
 from .errors import ConfigError
 from .noise import NoiseSpectrum, power_law_spectrum
-from .spectral import PI, OperatorSpectrum, coeffs_to_grid_values
+from .spectral import MAX_TRANSFORM_SIZE, PI, OperatorSpectrum, coeffs_to_grid_values
 
 __all__ = [
     "DriftFn",
@@ -101,6 +101,11 @@ class ModelConfig:
         if self.m_points < self.n_modes:
             raise ConfigError(
                 f"m_points={self.m_points} must be >= n_modes={self.n_modes}"
+            )
+        if self.n_modes * self.m_points > MAX_TRANSFORM_SIZE:
+            raise ConfigError(
+                f"n_modes * m_points = {self.n_modes * self.m_points} exceeds "
+                f"{MAX_TRANSFORM_SIZE}, past which the dense sine transforms are slow"
             )
         if self.eigs.n_modes < self.n_modes:
             raise ConfigError("operator spectrum shorter than n_modes")

@@ -135,8 +135,22 @@ def _macro_laws(scheme: StepScheme, eps: float, config: ModelConfig) -> _MacroLa
                       n_sub, h_fast, conv_increment_law(h_fast, config.q2, config.eigs))
 
 
-def _step(state: SlowFastState, laws: _MacroLaws, w1: NoiseStream,
-          w2: NoiseStream, config: ModelConfig) -> SlowFastState:
+def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
+                   w2: NoiseStream, config: ModelConfig, *,
+                   laws: _MacroLaws | None = None) -> SlowFastState:
+    """Advance the coupled system by one macro step.
+
+    Slow update: x -> e^{A dt}(x + dt * B(x, y)) + exact convolution
+    increment of sqrt(Q1) dW1.  Fast update: n_sub substeps of the fast
+    equation in its own time (time-change identity: stepping (A/eps,
+    Q2/eps) over h_f equals stepping (A, Q2) over h_f/eps), with the
+    slow argument frozen at the macro-step start.  Draw order per macro
+    step: one W1 vector, then n_sub W2 vectors.  ``laws`` lets a caller
+    that takes many steps at the same (scheme, eps) pass the noise laws
+    computed once; by default they are computed here.
+    """
+    if laws is None:
+        laws = _macro_laws(scheme, state.eps, config)
     n_paths = None if state.x.ndim == 1 else state.x.shape[0]
     dt = laws.dt
     decay1, std1 = laws.slow
@@ -153,20 +167,6 @@ def _step(state: SlowFastState, laws: _MacroLaws, w1: NoiseStream,
         y = decay2 * (y + h_fast * f) + std2 * w2.standard_normals(n_paths)
 
     return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
-
-
-def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
-                   w2: NoiseStream, config: ModelConfig) -> SlowFastState:
-    """Advance the coupled system by one macro step.
-
-    Slow update: x -> e^{A dt}(x + dt * B(x, y)) + exact convolution
-    increment of sqrt(Q1) dW1.  Fast update: n_sub substeps of the fast
-    equation in its own time (time-change identity: stepping (A/eps,
-    Q2/eps) over h_f equals stepping (A, Q2) over h_f/eps), with the
-    slow argument frozen at the macro-step start.  Draw order per macro
-    step: one W1 vector, then n_sub W2 vectors.
-    """
-    return _step(state, _macro_laws(scheme, state.eps, config), w1, w2, config)
 
 
 def _check_initial(coeffs, config) -> np.ndarray:
@@ -198,7 +198,7 @@ def simulate_slow_fast(config: ModelConfig, eps: float, x0, y0, t_final: float,
     state = SlowFastState(x=x, y=y, t=0.0, eps=eps)
     laws = _macro_laws(scheme, eps, config)
     for i in range(1, n_steps + 1):
-        state = _step(state, laws, w1, w2, config)
+        state = step_slow_fast(state, scheme, w1, w2, config, laws=laws)
         xs[i], ys[i] = state.x, state.y
     return Trajectory(times, xs), Trajectory(times, ys)
 

@@ -20,8 +20,11 @@ in a small bounded cache, and never built at import.  Batches are
 multiplied in row blocks of at most 2^19 multiply-adds, because
 OpenBLAS hands a product of about 2^20 or more to a second thread: on
 two CPUs that thread spins, so CPU time rises faster than wall time
-falls.  (A single row of N*M > 2^19, i.e. N > 512 at M = 2N, is still
-one call, which BLAS may thread.)
+falls.  The dense pair is 3-50x faster than a type-I DST up to N = 128
+(M = 2N), within 1.5x of it at N = 256 and 3.5-180x slower at N = 512,
+so ``ModelConfig`` rejects models with N*M > MAX_TRANSFORM_SIZE = 2^17
+(N = 256 at M = 2N); the cached matrices of one (N, M) then hold at
+most 2 MB.  Direct calls on larger sizes still work, only slowly.
 
 The semigroup e^{tA}, fractional powers (-A)^{s/2} and Sobolev-type
 norms ||u||_s = |(-A)^{s/2} u| are diagonal in this basis and are
@@ -39,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "PI",
+    "MAX_TRANSFORM_SIZE",
     "SpectralField",
     "GridField",
     "OperatorSpectrum",
@@ -159,6 +163,9 @@ def basis_field(k: int, n_modes: int) -> SpectralField:
     return SpectralField(c)
 
 
+# Largest N*M a model may use (see the module docstring).
+MAX_TRANSFORM_SIZE = 1 << 17
+
 # Largest product (rows x inner x outer multiply-adds) handed to BLAS in
 # one call; OpenBLAS starts its second thread at about twice this.
 _BLOCK_MADDS = 1 << 19
@@ -185,10 +192,14 @@ def _apply(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     block = max(1, _BLOCK_MADDS // (n_in * n_out))
     rows = a.reshape(-1, n_in)
     if rows.shape[0] <= block:
-        return a @ matrix
-    out = np.empty((rows.shape[0], n_out))
-    for i in range(0, rows.shape[0], block):
-        np.matmul(rows[i:i + block], matrix, out=out[i:i + block])
+        # one product without the output buffer and slicing: the block
+        # loop alone cost about 1 us more per call at one row, 8-10% of
+        # a coupled path (about 10^5 single-row transforms)
+        out = rows @ matrix
+    else:
+        out = np.empty((rows.shape[0], n_out))
+        for i in range(0, rows.shape[0], block):
+            np.matmul(rows[i:i + block], matrix, out=out[i:i + block])
     return out.reshape(a.shape[:-1] + (n_out,))
 
 

@@ -71,6 +71,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"eps.*\(0, 1\)"):
             parse_config(p)
 
+    def test_transform_size_limit(self, tmp_path):
+        # n_modes * m_points may not exceed spectral.MAX_TRANSFORM_SIZE = 2^17
+        head = "model = heat_example\nr1 = 0.1\nr2 = 0.1\n"
+        p = tmp_path / "big.cfg"
+        p.write_text(head + "n_modes = 256\n")
+        assert parse_config(p).model.m_points == 512
+        p.write_text(head + "n_modes = 257\n")
+        with pytest.raises(ConfigError, match="n_modes \\* m_points"):
+            parse_config(p)
+        p.write_text(MINIMAL + "m_points = 4097\n")
+        with pytest.raises(ConfigError, match="n_modes \\* m_points"):
+            parse_config(p)
+
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text(MINIMAL + "bogus_knob = 3\n")

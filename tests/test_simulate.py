@@ -142,6 +142,24 @@ class TestCouplingAndDeterminism:
             assert np.array_equal(state.y, ys.states[i])
         assert len(calls) == 2 + 2 * (len(xs) - 1)
 
+    def test_path_steps_through_public_step(self, heat, monkeypatch):
+        # one step_slow_fast call per macro step, so wrappers of the
+        # public step see every step a path takes
+        from slowfast_spde import simulate
+
+        steps = []
+        step = simulate.step_slow_fast
+
+        def counting_step(*args, **kwargs):
+            steps.append(None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "step_slow_fast", counting_step)
+        w1, w2 = streams(8, seed=12)
+        xs, _ = simulate_slow_fast(heat, 1e-1, np.zeros(8), np.zeros(8), 0.2,
+                                   StepScheme(1e-2), w1, w2)
+        assert len(steps) == len(xs) - 1 == 20
+
     def test_w1_draw_order_contract(self, heat):
         # decoupled B (independent of y): slow-fast and averaged paths
         # coincide bitwise under replayed W1
