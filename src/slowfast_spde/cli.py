@@ -42,7 +42,8 @@ from .model import check_assumptions
 from .noise import derive_substream
 from .simulate import simulate_slow_fast
 from .spectral import SpectralField, h_norm
-from .zvonkin import OuKernel, TruncatedFunction, box_axes, dlambda_curve, picard_solve
+from .zvonkin import (OuKernel, TruncatedFunction, box_axes, check_picard_grid,
+                      resolvent_solutions)
 
 _ENV_SEED = "SPDE_SEED"
 
@@ -261,6 +262,7 @@ def cmd_zvonkin(args) -> int:
     model = rc.model
     kernel = OuKernel(model.eigs.eigenvalues[:d], model.q1.q[:d])
     axes = box_axes(kernel, n_per_axis=args.grid)
+    check_picard_grid(tuple(a.shape[0] for a in axes))
     lambdas = sorted(float(v) for v in args.lam.split(","))
 
     from .averaging import estimate_bbar_batch
@@ -278,8 +280,9 @@ def cmd_zvonkin(args) -> int:
     # The solvers read the drift only at g's nodes, where the table
     # returns its values exactly: one Monte-Carlo estimate serves all.
     g = TruncatedFunction.from_callable(bbar_truncated, axes)
-    rows = dlambda_curve(g, g, kernel, lambdas)
-    sol = picard_solve(g, g, lambdas[0], kernel)
+    solutions = resolvent_solutions(g, g, kernel, lambdas)
+    rows = [s.table_row() for s in solutions]
+    sol = solutions[0]
 
     out = Path(args.out)
     csv_rows = [tuple(f"x_{j+1}" for j in range(d))

@@ -273,7 +273,7 @@ def _lambda_norm(t: np.ndarray, a_lam: float, p_lam: float, a_q: float, p_q: flo
 def _log_quadrature_nodes(t_min: float, t_max: float, n_panels: int = 40,
                           order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on log-spaced panels of [t_min, t_max]."""
-    edges = np.exp(np.linspace(np.log(t_min), np.log(t_max), n_panels + 1))
+    edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), n_panels + 1))
     gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -329,18 +329,26 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     aq2, pq2 = _noise_rule(config.q2)
 
     # A1: boundedness/Hoelder continuity of the drifts (declared constants,
-    # spot-checked empirically on random low-mode pairs).
+    # spot-checked empirically on random low-mode pairs); a non-finite
+    # quotient or a sampled value above the declared bound refutes it.
     sampler = low_mode_pair_sampler(config.n_modes)
     qb = empirical_holder(config.drift_b, config.alpha, config.beta, holder_pairs,
                           sampler, config.m_points, seed=seed)
     qf = empirical_holder(config.drift_f, config.gamma, 1.0, holder_pairs,
                           sampler, config.m_points, seed=seed + 1)
+    sup_b = _sampled_sup(config.drift_b, holder_pairs, sampler, config.m_points, seed)
+    sup_f = _sampled_sup(config.drift_f, holder_pairs, sampler, config.m_points,
+                         seed + 1)
+    a1_holds = (math.isfinite(qb) and math.isfinite(qf)
+                and sup_b <= config.bound_b and sup_f <= config.bound_f)
     report.checks["A1_drift_regularity"] = AssumptionCheck(
-        "A1_drift_regularity", "holds",
+        "A1_drift_regularity", "holds" if a1_holds else "fails",
         {"b_max_quotient": qb, "f_max_quotient": qf,
+         "b_sampled_sup": sup_b, "f_sampled_sup": sup_f,
+         "bound_b": config.bound_b, "bound_f": config.bound_f,
          "alpha": config.alpha, "beta": config.beta, "gamma": config.gamma,
          "l_f": config.l_f},
-        "declared constants; empirical max quotients over "
+        "declared constants; empirical max quotients and sup|B|, sup|F| over "
         f"{holder_pairs} random pairs",
     )
 
@@ -516,6 +524,15 @@ def low_mode_pair_sampler(n_modes: int, active_modes: int = 8,
         return x1, y1, x1 + s * dx, y1 + s * dy
 
     return sample
+
+
+def _sampled_sup(f: DriftFn, n_pairs: int, sampler, m_points: int,
+                 seed: int) -> float:
+    """Max |f| on the grid over the fields :func:`empirical_holder` draws
+    with the same seed; NaN if f returns a NaN anywhere."""
+    fields = sampler(np.random.default_rng(seed), n_pairs)
+    x1, y1, x2, y2 = (coeffs_to_grid_values(c, m_points) for c in fields)
+    return float(max(np.max(np.abs(f(x1, y1))), np.max(np.abs(f(x2, y2)))))
 
 
 def empirical_holder(f: DriftFn, alpha: float, beta: float, n_pairs: int,

@@ -169,6 +169,17 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
     return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
 
 
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """span / dt as a step count; ``span`` must be a nonnegative multiple
+    of ``dt`` to 1e-9 relative, so no horizon is silently rounded."""
+    ratio = span / dt
+    n = round(ratio)
+    if span < 0 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(f"{name} = {span:g} is not a nonnegative multiple of "
+                          f"the step {dt:g}")
+    return int(n)
+
+
 def _check_initial(coeffs, config) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     if c.shape[-1] != config.n_modes:
@@ -183,14 +194,15 @@ def simulate_slow_fast(config: ModelConfig, eps: float, x0, y0, t_final: float,
                        ) -> tuple[Trajectory, Trajectory]:
     """Integrate the coupled system on [0, T]; returns (slow, fast) paths.
 
-    The number of macro steps is round(T / dt); trajectories are stored
-    at every macro node.  The noise laws of a macro step are computed
-    once per call, as dt, eps and the spectra are fixed along the path.
+    T must be a multiple of dt (to 1e-9 relative), else
+    :class:`ConfigError`; trajectories are stored at every macro node.
+    The noise laws of a macro step are computed once per call, as dt,
+    eps and the spectra are fixed along the path.
     Reruns with equal seeds and schemes are bit-identical.
     """
     x = _check_initial(x0, config)
     y = _check_initial(y0, config)
-    n_steps = int(round(t_final / scheme.dt_macro))
+    n_steps = _whole_steps(t_final, scheme.dt_macro, "t_final")
     times = np.arange(n_steps + 1) * scheme.dt_macro
     xs = np.empty((n_steps + 1,) + x.shape)
     ys = np.empty((n_steps + 1,) + y.shape)
@@ -208,7 +220,7 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     """Fast equation with the slow argument held fixed at ``x``.
 
     Runs in the fast variable's own time; same exponential-Euler rule
-    as the coupled integrator.
+    as the coupled integrator.  ``t_final`` must be a multiple of ``dt``.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -217,7 +229,7 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     x_grid = coeffs_to_grid_values(x, config.m_points)
     n_paths = None if y.ndim == 1 else y.shape[0]
     decay, std = conv_increment_law(dt, config.q2, config.eigs)
-    n_steps = int(round(t_final / dt))
+    n_steps = _whole_steps(t_final, dt, "t_final")
     times = np.arange(n_steps + 1) * dt
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
@@ -235,14 +247,14 @@ def simulate_averaged(config: ModelConfig, x0, t_final: float, dt: float,
     ``bbar`` maps coefficient arrays (..., N) -> (..., N).  One W1 draw
     per step, in the same order as :func:`simulate_slow_fast`, so a
     stream derived from the same key couples the two solutions
-    pathwise.
+    pathwise.  ``t_final`` must be a multiple of ``dt``.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     x = _check_initial(x0, config)
     n_paths = None if x.ndim == 1 else x.shape[0]
     decay, std = conv_increment_law(dt, config.q1, config.eigs)
-    n_steps = int(round(t_final / dt))
+    n_steps = _whole_steps(t_final, dt, "t_final")
     times = np.arange(n_steps + 1) * dt
     xs = np.empty((n_steps + 1,) + x.shape)
     xs[0] = x
@@ -268,10 +280,9 @@ def simulate_auxiliary_fast(config: ModelConfig, eps: float, slow_traj: Trajecto
     positive multiple of the macro step.
     """
     dt = scheme.dt_macro
-    ratio = delta / dt
-    if delta <= 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+    if delta <= 0:
         raise ConfigError("delta must be a positive multiple of dt_macro")
-    block = int(round(ratio))
+    block = _whole_steps(delta, dt, "delta")
     n_steps = len(slow_traj) - 1
     y = _check_initial(y0, config)
     n_paths = None if y.ndim == 1 else y.shape[0]

@@ -163,7 +163,9 @@ def basis_field(k: int, n_modes: int) -> SpectralField:
     return SpectralField(c)
 
 
-# Largest N*M a model may use (see the module docstring).
+# Largest N*M a model may use (see the module docstring).  The package's
+# other dense-operator cap is zvonkin.MAX_PICARD_NODES = 2^11 grid nodes,
+# which bounds the assembled Picard sweep maps to 128 MiB at d = 3.
 MAX_TRANSFORM_SIZE = 1 << 17
 
 # Largest product (rows x inner x outer multiply-adds) handed to BLAS in

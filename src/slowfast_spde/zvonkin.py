@@ -17,8 +17,23 @@ clamping is consistent).
 
 The iteration starts from U_0 = 0 and contracts once lambda is large
 enough; the time integral is truncated at T_max = 40 / lambda_1 on
-log-spaced Gauss-Legendre panels, so the damped tail is below
-e^{-lambda T_max} of the integrand bound.
+log-spaced Gauss-Legendre panels (``model._log_quadrature_nodes``), so
+the damped tail is below e^{-lambda T_max} of the integrand bound.
+
+A sweep is linear in psi = G + <Bbar, DU>, and its transition
+operators do not depend on the iterate, so :func:`picard_solve`
+assembles the whole sweep once per solve as dense maps on the G grid
+nodes: A (G x G) for U and B (d x G x G) for DU, with the same
+Gauss-Hermite points, clamped multilinear weights and
+integration-by-parts weights as the per-node applies.  The tensor rule
+factors per axis, so the maps are built from per-axis 1-D matrices
+(Kronecker products per time node for d >= 2); every sweep is then two
+matrix products.  The maps hold (d + 1) * 8 * G^2 bytes, so
+picard_solve refuses grids of more than MAX_PICARD_NODES = 2^11 nodes
+(128 MiB at d = 3) with :class:`ConfigError`: 45 points per axis at
+d = 2 and 12 at d = 3.  :func:`ou_semigroup_apply` and
+:func:`ou_gradient_apply` are single applies and evaluate the
+quadrature point by point.
 
 This module exists to verify the construction (fixed point, decay of
 the resolvent norm in lambda, gradient bounds) at desk scale, not for
@@ -34,6 +49,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, PicardDivergenceError
+from .model import _log_quadrature_nodes
 
 __all__ = [
     "OuKernel",
@@ -44,7 +60,17 @@ __all__ = [
     "ou_gradient_apply",
     "picard_solve",
     "dlambda_curve",
+    "resolvent_solutions",
+    "check_picard_grid",
+    "MAX_PICARD_NODES",
 ]
+
+# Largest grid picard_solve accepts: its d + 1 dense sweep operators hold
+# (d + 1) * 8 * G^2 bytes, 128 MiB at d = 3.
+MAX_PICARD_NODES = 1 << 11
+
+# Time nodes per assembly chunk, to bound the temporaries.
+_CHUNK_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -152,10 +178,15 @@ def box_axes(kernel: OuKernel, n_per_axis: int = 257,
     return tuple(np.linspace(-r, r, n_per_axis) for r in radii)
 
 
+def _hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal Gauss-Hermite rule on one axis: nodes, weights."""
+    z, w = np.polynomial.hermite_e.hermegauss(order)
+    return z, w / math.sqrt(2.0 * math.pi)
+
+
 def _hermite_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor standard-normal quadrature: nodes (Q, d), weights (Q,)."""
-    z, w = np.polynomial.hermite_e.hermegauss(order)
-    w = w / math.sqrt(2.0 * math.pi)
+    z, w = _hermite_1d(order)
     zs = np.meshgrid(*([z] * dim), indexing="ij")
     ws = np.meshgrid(*([w] * dim), indexing="ij")
     nodes = np.stack([a.ravel() for a in zs], axis=-1)
@@ -214,19 +245,6 @@ def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
                                                   + (kernel.dim,)))
 
 
-def _time_quadrature(lam: float, kernel: OuKernel, t_min: float, n_panels: int,
-                     gl_order: int) -> tuple[np.ndarray, np.ndarray]:
-    t_max = 40.0 / float(kernel.eigenvalues[0])
-    edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), n_panels + 1))
-    gx, gw = np.polynomial.legendre.leggauss(gl_order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * gx)
-        weights.append(half * gw)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 @dataclass
 class ZvonkinSolution:
     """Fixed point U with its gradient field and convergence record."""
@@ -239,10 +257,117 @@ class ZvonkinSolution:
     converged: bool
     change_history: list[float]
 
+    def table_row(self) -> dict:
+        """lambda, sup|U|, sup|DU|, residual and iterations of the solve."""
+        return {
+            "lambda": float(self.lam),
+            "sup_u": self.u.sup_norm(),
+            "sup_du": self.du.sup_norm(),
+            "residual": self.residual,
+            "iterations": self.iterations,
+        }
+
 
 def _pair_drift(bbar_vals: np.ndarray, du_vals: np.ndarray) -> np.ndarray:
     """<Bbar, DU>: directional derivative of each output along Bbar."""
     return np.einsum("...j,...cj->...c", bbar_vals, du_vals)
+
+
+def check_picard_grid(grid_shape) -> None:
+    """Reject grids whose assembled sweep operators exceed the node cap."""
+    n_nodes = math.prod(grid_shape)
+    if n_nodes > MAX_PICARD_NODES:
+        raise ConfigError(
+            f"picard_solve takes at most {MAX_PICARD_NODES} grid nodes, got "
+            f"{n_nodes} ({' x '.join(map(str, grid_shape))}); use a coarser grid"
+        )
+
+
+def _axis_matrices(axis: np.ndarray, decay: np.ndarray, std: np.ndarray,
+                   z: np.ndarray, w: np.ndarray, damp: np.ndarray | None = None):
+    """Per-node 1-D transition matrices on one axis, or their damped sum.
+
+    For time nodes with per-axis ``decay`` and ``std`` (both (T,)),
+    matrix V[t] sends samples f on ``axis`` to
+    sum_q w_q f(x_i decay_t + z_q std_t), with f interpolated by the
+    clamped linear hat functions of :meth:`TruncatedFunction.__call__`;
+    D[t] uses the integration-by-parts weights w_q z_q decay_t / std_t
+    instead.  Returns (V, D) stacked as (T, n, n), or, given ``damp``
+    (T,), the sums over t of damp_t V[t] and damp_t D[t] as (n, n).
+    """
+    n, n_t = axis.shape[0], decay.shape[0]
+    pts = axis[:, None] * decay[:, None, None] + z * std[:, None, None]  # (T, n, Q)
+    np.clip(pts, axis[0], axis[-1], out=pts)
+    left = np.clip(np.searchsorted(axis, pts) - 1, 0, n - 2)
+    frac = (pts - axis[left]) / (axis[left + 1] - axis[left])
+    cell = left + np.arange(n)[:, None] * n
+    if damp is None:
+        cell += np.arange(n_t)[:, None, None] * (n * n)
+        wq, out = w, (n_t, n, n)
+    else:
+        wq, out = damp[:, None, None] * w, (n, n)
+    lo, hi = (wq * (1.0 - frac)).ravel(), (wq * frac).ravel()
+    zr = np.broadcast_to(z * (decay / std)[:, None, None], pts.shape).ravel()
+    cell = cell.ravel()
+    size = math.prod(out)
+
+    def scatter(w_lo, w_hi):
+        return (np.bincount(cell, w_lo, minlength=size)
+                + np.bincount(cell + 1, w_hi, minlength=size)).reshape(out)
+
+    return scatter(lo, hi), scatter(lo * zr, hi * zr)
+
+
+def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
+                     damp: np.ndarray, head: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense maps of one Picard sweep on the tensor grid ``axes``.
+
+    Returns A (G, G) and B (d, G, G) with new_U = A psi and new_DU[..., b]
+    = B[b] psi for psi sampled on the G grid nodes (C order), where
+    A = head I + sum_t damp_t K_t and K_t is the Gauss-Hermite transition
+    operator that :func:`_kernel_apply` evaluates at node t.  The tensor
+    rule, the diagonal kernel and multilinear interpolation all factor
+    per axis, so K_t is the Kronecker product of 1-D matrices (B[b]
+    takes the gradient matrix on axis b).  Time nodes are taken in
+    chunks.  For d = 1, where an axis has the most points, ``bincount``
+    scatters the damped sum over t directly, so no (T, n, n) stack is
+    built; for d >= 2 it scatters the per-node matrices, and the damped
+    Khatri-Rao product over t of the leading axes times the last axis'
+    matrices is one matrix product per chunk.
+    """
+    d = kernel.dim
+    shape = tuple(a.shape[0] for a in axes)
+    z, w = _hermite_1d(order)
+    decay, std = kernel.transition(nodes[:, None])  # (T, d)
+    if np.any(std == 0.0):
+        raise ValueError("gradient weights are singular for a degenerate axis")
+    g_nodes = math.prod(shape)
+    ops = np.zeros((d + 1, g_nodes, g_nodes))  # A, then B[0..d-1]
+    # each operator seen with axes (i0, j0, i1, j1, ...), where the
+    # Kronecker factors of one time node sit side by side
+    interleave = tuple(a + off for a in range(d) for off in (0, d))
+    views = [op.reshape(shape + shape).transpose(interleave) for op in ops]
+    for s in range(0, nodes.shape[0], _CHUNK_NODES):
+        sl = slice(s, s + _CHUNK_NODES)
+        if d == 1:
+            value, grad = _axis_matrices(axes[0], decay[sl, 0], std[sl, 0], z, w,
+                                         damp[sl])
+            ops[0] += value
+            ops[1] += grad
+            continue
+        n_t = nodes[sl].shape[0]
+        mats = [[m.reshape(n_t, -1) for m in
+                 _axis_matrices(axes[a], decay[sl, a], std[sl, a], z, w)]
+                for a in range(d)]
+        for k, view in enumerate(views):  # k = 0: values; else gradient on axis k-1
+            kr = damp[sl, None]
+            for a in range(d - 1):
+                m = mats[a][int(k == a + 1)]
+                kr = (kr[:, :, None] * m[:, None, :]).reshape(n_t, -1)
+            view += (kr.T @ mats[d - 1][int(k == d)]).reshape(view.shape)
+    a_op = ops[0]
+    a_op[np.diag_indices(g_nodes)] += head
+    return a_op, ops[1:]
 
 
 def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
@@ -254,45 +379,46 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     Starting from U_0 = 0, each sweep evaluates
     U_n = int e^{-lambda t} T_t(<Bbar, DU_{n-1}> + G) dt on g's grid,
     with the gradient computed by the integration-by-parts weights at
-    the same time nodes.  Stops when the sup-norm change of (U, DU)
+    the same time nodes.  The sweep is linear in psi = G + <Bbar, DU>,
+    so its dense operators are assembled once per call and every sweep
+    is two matrix products.  Stops when the sup-norm change of (U, DU)
     falls below ``tol`` (default 1e-3 * sup|G|); growth of the change
     across three consecutive sweeps raises
-    :class:`PicardDivergenceError` (increase lambda).
+    :class:`PicardDivergenceError` (increase lambda).  Grids of more
+    than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`.
     """
     if lam <= 0:
         raise ConfigError("lambda must be positive")
     d = kernel.dim
     if g.dim != d:
         raise ConfigError("g and kernel dimensions differ")
+    check_picard_grid(g.grid_shape)
     out = g.out_shape
     x = g.grid_points()
     bbar_vals = np.asarray(bbar(x), dtype=float).reshape(g.grid_shape + (d,))
     if tol is None:
         tol = 1e-3 * max(g.sup_norm(), 1e-12)
 
-    nodes, weights = _time_quadrature(lam, kernel, t_min, n_panels, gl_order)
+    t_max = 40.0 / float(kernel.eigenvalues[0])
+    nodes, weights = _log_quadrature_nodes(t_min, t_max, n_panels, gl_order)
     damp = weights * np.exp(-lam * nodes)
     head = -math.expm1(-lam * t_min) / lam  # int_0^tmin e^{-lam t} dt, T_t ~ Id
+    a_op, b_op = _sweep_operators(g.axes, kernel, order, nodes, damp, head)
 
-    u_vals = np.zeros(g.grid_shape + out)
-    du_vals = np.zeros(g.grid_shape + out + (d,))
+    u_shape, du_shape = g.grid_shape + out, g.grid_shape + out + (d,)
+    u_vals, du_vals = np.zeros(u_shape), np.zeros(du_shape)
 
-    def sweep(u_vals, du_vals):
-        psi_vals = g.values + _pair_drift(bbar_vals, du_vals)
-        psi = TruncatedFunction(g.axes, psi_vals)
-        new_u = head * psi_vals.copy()
-        new_du = np.zeros_like(du_vals)
-        for t, w in zip(nodes, damp):
-            mean, grad = _kernel_apply(psi, t, kernel, order, want_gradient=True)
-            new_u += w * mean.reshape(new_u.shape)
-            new_du += w * grad.reshape(new_du.shape)
+    def sweep(du_vals):
+        psi = (g.values + _pair_drift(bbar_vals, du_vals)).reshape(a_op.shape[0], -1)
+        new_u = (a_op @ psi).reshape(u_shape)
+        new_du = np.moveaxis(b_op @ psi, 0, -1).reshape(du_shape)
         return new_u, new_du
 
     history: list[float] = []
     converged = False
     grew = 0
     for it in range(1, max_iter + 1):
-        new_u, new_du = sweep(u_vals, du_vals)
+        new_u, new_du = sweep(du_vals)
         change = max(float(np.max(np.abs(new_u - u_vals))),
                      float(np.max(np.abs(new_du - du_vals))))
         u_vals, du_vals = new_u, new_du
@@ -310,7 +436,7 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
         else:
             grew = 0
 
-    resid_u, _ = sweep(u_vals, du_vals)
+    resid_u, _ = sweep(du_vals)
     residual = float(np.max(np.linalg.norm(
         (resid_u - u_vals).reshape(g.grid_shape + (-1,)), axis=-1)))
     u = TruncatedFunction(g.axes, u_vals)
@@ -320,25 +446,22 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
                            change_history=history)
 
 
+def resolvent_solutions(g: TruncatedFunction, bbar, kernel: OuKernel,
+                        lambdas, **solve_kw) -> list[ZvonkinSolution]:
+    """One :func:`picard_solve` per lambda; lambdas must strictly increase."""
+    lambdas = list(lambdas)
+    if any(b <= a for a, b in zip(lambdas[:-1], lambdas[1:])):
+        raise ConfigError("lambdas must be increasing")
+    return [picard_solve(g, bbar, lam, kernel, **solve_kw) for lam in lambdas]
+
+
 def dlambda_curve(g: TruncatedFunction, bbar, kernel: OuKernel,
                   lambdas, **solve_kw) -> list[dict]:
     """Resolvent norms across increasing lambda.
 
-    Returns one row per lambda with sup|U|, sup|DU| (Frobenius per
-    point) and the fixed-point residual; the sup norms decay as lambda
-    grows.
+    Returns one :meth:`ZvonkinSolution.table_row` per lambda: sup|U|,
+    sup|DU| (Frobenius per point) and the fixed-point residual; the sup
+    norms decay as lambda grows.
     """
-    lambdas = list(lambdas)
-    if any(b <= a for a, b in zip(lambdas[:-1], lambdas[1:])):
-        raise ConfigError("lambdas must be increasing")
-    rows = []
-    for lam in lambdas:
-        sol = picard_solve(g, bbar, lam, kernel, **solve_kw)
-        rows.append({
-            "lambda": float(lam),
-            "sup_u": sol.u.sup_norm(),
-            "sup_du": sol.du.sup_norm(),
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-        })
-    return rows
+    return [sol.table_row()
+            for sol in resolvent_solutions(g, bbar, kernel, lambdas, **solve_kw)]

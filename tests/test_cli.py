@@ -160,6 +160,15 @@ class TestDispatch:
         assert str(out) in manifest["outputs"]
         assert manifest["outputs"][str(out)] == sha(out)
 
+    def test_simulate_horizon_not_a_step_multiple_exit_2(self, cfg_path,
+                                                         tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--T", "0.0105", "--dt", "0.01"])
+        assert code == 2
+        assert "t_final" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rerun_bit_identical(self, cfg_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -240,6 +249,47 @@ class TestZvonkinCommand:
                      "--grid", "17", "--out", str(tmp_path / "zv.csv")])
         assert code == 0
         assert len(calls) == 1
+
+    def test_one_picard_solve_per_lambda(self, cfg_path, tmp_path, monkeypatch):
+        from slowfast_spde import cli, zvonkin
+
+        lams = []
+        solve = zvonkin.picard_solve
+
+        def counting(g, bbar, lam, *args, **kwargs):
+            lams.append(lam)
+            return solve(g, bbar, lam, *args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "picard_solve", counting)
+        monkeypatch.setattr(cli, "picard_solve", counting, raising=False)
+        code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",
+                     "--lambda", "10,1,100", "--grid", "17",
+                     "--out", str(tmp_path / "zv.csv")])
+        assert code == 0
+        assert lams == [1.0, 10.0, 100.0]
+        data = json.loads((tmp_path / "zv.json").read_text())
+        assert data["iterations"] == data["lambda_table"][0]["iterations"]
+        assert data["residual"] == data["lambda_table"][0]["residual"]
+
+    def test_repeated_lambda_is_config_error(self, cfg_path, tmp_path):
+        code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",
+                     "--lambda", "1,1", "--grid", "17",
+                     "--out", str(tmp_path / "zv.csv")])
+        assert code == 2
+
+    def test_grid_over_node_cap_is_config_error(self, cfg_path, tmp_path,
+                                                monkeypatch):
+        # refused before the averaged drift is tabulated on 129^2 nodes
+        from slowfast_spde import averaging
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated the drift on a refused grid")
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", no_estimate)
+        code = main(["zvonkin", "--config", str(cfg_path), "--dim", "2",
+                     "--out", str(tmp_path / "zv.csv")])
+        assert code == 2
+        assert not (tmp_path / "zv.csv").exists()
 
     def test_d1_solve_emits_tables(self, cfg_path, tmp_path):
         out = tmp_path / "zv.csv"

@@ -1,5 +1,7 @@
 """Heat model construction, assumption checker, empirical regularity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,31 @@ class TestChecker:
         assert w["kappa1"] == 0.75
         assert np.isfinite(w["integral_q1"]) and np.isfinite(w["integral_q2"])
         assert rep["A6_spectral_gap"].witness["gap"] == pytest.approx(0.5)
+
+    def test_a1_fails_on_non_finite_drift(self, heat8):
+        from slowfast_spde.config import parse_drift_expression
+
+        bad = replace(heat8, drift_b=parse_drift_expression("1/(x-x)"),
+                      drift_f=parse_drift_expression("100*y*y"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = check_assumptions(bad, theta=0.55)
+        a1 = rep["A1_drift_regularity"]
+        assert a1.status == "fails" and not rep.all_hold
+        assert not np.isfinite(a1.witness["b_max_quotient"])
+
+    @pytest.mark.parametrize("which", ["b", "f"])
+    def test_a1_fails_above_declared_bound(self, heat8, which):
+        # finite Hoelder quotients, but the sampled sup exceeds the bound
+        name = f"drift_{which}"
+        loud = replace(heat8, **{name: lambda xg, yg, f=getattr(heat8, name):
+                                 3.0 * f(xg, yg)})
+        a1 = check_assumptions(loud, theta=0.55)["A1_drift_regularity"]
+        assert a1.status == "fails"
+        assert np.isfinite(a1.witness[f"{which}_max_quotient"])
+        assert a1.witness[f"{which}_sampled_sup"] > a1.witness[f"bound_{which}"]
+        ok = check_assumptions(heat8, theta=0.55)["A1_drift_regularity"]
+        assert ok.status == "holds"
+        assert ok.witness[f"{which}_sampled_sup"] <= ok.witness[f"bound_{which}"]
 
     def test_admissible_theta_interval(self, heat32):
         rep = check_assumptions(heat32, theta=0.55)

@@ -270,6 +270,35 @@ class TestValidationAndBounds:
         with pytest.raises(ConfigError, match="eps"):
             SlowFastState(x=np.zeros(8), y=np.zeros(8), t=0.0, eps=1.0)
 
+    @pytest.mark.parametrize("t_final, dt", [(0.0105, 0.01), (0.05, 0.02),
+                                             (-0.02, 0.01)])
+    def test_horizon_not_a_step_multiple_rejected(self, heat, t_final, dt):
+        w1, w2 = streams(8)
+        zero = np.zeros(8)
+        with pytest.raises(ConfigError, match="t_final"):
+            simulate_slow_fast(heat, 0.1, zero, zero, t_final, StepScheme(dt),
+                               w1, w2)
+        with pytest.raises(ConfigError, match="t_final"):
+            simulate_frozen(heat, zero, zero, t_final, dt, w2)
+        with pytest.raises(ConfigError, match="t_final"):
+            simulate_averaged(heat, zero, t_final, dt, w1, lambda x: 0.0 * x)
+
+    @pytest.mark.parametrize("t_final, dt, n_steps", [
+        (0.01, 2e-3, 5), (0.5, 1e-3, 500), (1.0, 1e-3, 1000), (0.2, 1e-2, 20),
+        (0.0, 1e-2, 0)])
+    def test_step_multiple_horizons_run(self, heat, t_final, dt, n_steps):
+        # the horizons of the configs, demos and benchmark: t_final / dt
+        # is off an integer only by rounding
+        w1, w2 = streams(8)
+        zero = np.zeros(8)
+        traj = simulate_averaged(heat, zero, t_final, dt, w1, lambda x: 0.0 * x)
+        assert len(traj) == n_steps + 1
+        assert len(simulate_frozen(heat, zero, zero, t_final, dt, w2)) == n_steps + 1
+        if n_steps <= 20:
+            xs, _ = simulate_slow_fast(heat, 0.5, zero, zero, t_final,
+                                       StepScheme(dt), w1, w2)
+            assert len(xs) == n_steps + 1
+
     def test_nan_drift_reports_grid_point(self, heat):
         def bad(xg, yg):
             out = np.zeros_like(xg)

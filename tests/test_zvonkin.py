@@ -1,12 +1,18 @@
 """Resolvent closed forms, transition quadrature, fixed-point behavior."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
+from slowfast_spde import zvonkin
 from slowfast_spde.errors import ConfigError, PicardDivergenceError
-from slowfast_spde.zvonkin import (OuKernel, TruncatedFunction, box_axes,
-                                   dlambda_curve, ou_gradient_apply,
-                                   ou_semigroup_apply, picard_solve)
+from slowfast_spde.model import _log_quadrature_nodes
+from slowfast_spde.zvonkin import (MAX_PICARD_NODES, OuKernel, TruncatedFunction,
+                                   box_axes, check_picard_grid, dlambda_curve,
+                                   ou_gradient_apply, ou_semigroup_apply,
+                                   picard_solve)
 
 KERNEL = OuKernel(np.array([1.0]), np.array([1.0]))
 SIGMA = float(KERNEL.stationary_std()[0])
@@ -192,3 +198,148 @@ class TestTruncatedFunction:
         err0 = np.max(np.abs(out.values[..., 0] - np.exp(-0.5) * x0)[m])
         err1 = np.max(np.abs(out.values[..., 1] - np.exp(-2.0) * x1)[m])
         assert err0 < 1e-6 and err1 < 1e-6
+
+
+def kernel_of_dim(d):
+    return OuKernel(np.array([1.0, 4.0, 9.0][:d]), np.array([1.0, 0.5, 0.3][:d]))
+
+
+def clamped_axes(kernel, n):
+    # a box of 2 stationary deviations, unequal per axis: many Hermite
+    # points of every grid node land outside and clamp to the boundary
+    return tuple(a * (1.0 + 0.25 * j)
+                 for j, a in enumerate(box_axes(kernel, n, radius_mult=2.0)))
+
+
+def reference_picard(g, bbar, lam, kernel, order=24, n_panels=30, gl_order=8,
+                     t_min=1e-8, max_iter=60):
+    """The sweep as a loop of per-node kernel applies (no assembled operator)."""
+    d = kernel.dim
+    bbar_vals = np.asarray(bbar(g.grid_points()), dtype=float).reshape(
+        g.grid_shape + (d,))
+    tol = 1e-3 * max(g.sup_norm(), 1e-12)
+    nodes, weights = _log_quadrature_nodes(
+        t_min, 40.0 / float(kernel.eigenvalues[0]), n_panels, gl_order)
+    damp = weights * np.exp(-lam * nodes)
+    head = -math.expm1(-lam * t_min) / lam
+
+    def sweep(du_vals):
+        psi_vals = g.values + np.einsum("...j,...cj->...c", bbar_vals, du_vals)
+        psi = TruncatedFunction(g.axes, psi_vals)
+        new_u = head * psi_vals
+        new_du = np.zeros_like(du_vals)
+        for t, w in zip(nodes, damp):
+            mean, grad = zvonkin._kernel_apply(psi, t, kernel, order, True)
+            new_u = new_u + w * mean.reshape(new_u.shape)
+            new_du += w * grad.reshape(new_du.shape)
+        return new_u, new_du
+
+    u = np.zeros(g.values.shape)
+    du = np.zeros(g.values.shape + (d,))
+    for iterations in range(1, max_iter + 1):
+        new_u, new_du = sweep(du)
+        change = max(np.max(np.abs(new_u - u)), np.max(np.abs(new_du - du)))
+        u, du = new_u, new_du
+        if change < tol:
+            break
+    resid_u, _ = sweep(du)
+    residual = float(np.max(np.linalg.norm(
+        (resid_u - u).reshape(g.grid_shape + (-1,)), axis=-1)))
+    return u, du, residual, iterations
+
+
+class TestAssembledSweep:
+    @pytest.mark.parametrize("d, n", [(1, 33), (2, 9), (3, 5)])
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 5.0])
+    def test_operator_matches_kernel_apply(self, d, n, t):
+        kernel = kernel_of_dim(d)
+        axes = clamped_axes(kernel, n)
+        a_op, b_op = zvonkin._sweep_operators(axes, kernel, 12, np.array([t]),
+                                              np.array([1.0]), 0.0)
+        psi = np.random.default_rng(d).standard_normal(
+            tuple(a.shape[0] for a in axes) + (2,))
+        mean, grad = zvonkin._kernel_apply(TruncatedFunction(axes, psi), t,
+                                           kernel, 12, want_gradient=True)
+        flat = psi.reshape(a_op.shape[0], -1)
+        # the Hermite weights sum to 1; the gradient weights to at most
+        # decay/std per axis, the scale of the cancelling summands
+        sup = np.max(np.abs(psi))
+        decay, std = kernel.transition(t)
+        assert np.max(np.abs(a_op @ flat - mean.reshape(flat.shape))) < 1e-13 * sup
+        got = np.moveaxis(b_op @ flat, 0, -1)
+        err = np.max(np.abs(got - grad.reshape(got.shape)))
+        assert err < 1e-13 * sup * np.max(decay / std)
+
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 9)])
+    def test_solve_matches_per_node_loop(self, d, n):
+        kernel = kernel_of_dim(d)
+        axes = clamped_axes(kernel, n)
+        g = TruncatedFunction.from_callable(lambda p: np.cos(p), axes)
+
+        def bbar(pts):
+            return 0.8 * np.sin(np.atleast_2d(pts))
+
+        sol = picard_solve(g, bbar, 2.0, kernel, order=12)
+        u, du, residual, iterations = reference_picard(g, bbar, 2.0, kernel,
+                                                       order=12)
+        assert sol.iterations == iterations
+        assert np.max(np.abs(sol.u.values - u)) < 1e-12
+        assert np.max(np.abs(sol.du.values - du)) < 1e-12
+        assert abs(sol.residual - residual) < 1e-12
+
+    def test_node_cap(self):
+        for shape in [(MAX_PICARD_NODES,), (32, 64), (8, 16, 16)]:
+            check_picard_grid(shape)
+        for shape in [(MAX_PICARD_NODES + 1,), (46, 46), (13, 13, 13)]:
+            with pytest.raises(ConfigError, match="grid nodes"):
+                check_picard_grid(shape)
+        # the largest grid solves; one node more is refused before any work
+        g = TruncatedFunction.from_callable(
+            lambda p: np.full((p.shape[0], 1), 1.0),
+            box_axes(KERNEL, n_per_axis=MAX_PICARD_NODES))
+        sol = picard_solve(g, zero_bbar, 2.0, KERNEL, order=6)
+        assert sol.converged and np.max(np.abs(sol.u.values - 0.5)) < 1e-6
+        big = TruncatedFunction.from_callable(
+            lambda p: np.ones((p.shape[0], 1)),
+            box_axes(KERNEL, n_per_axis=MAX_PICARD_NODES + 1))
+        with pytest.raises(ConfigError, match="grid nodes"):
+            picard_solve(big, zero_bbar, 2.0, KERNEL)
+
+    def test_three_dimensional_solve_finishes(self):
+        kernel = kernel_of_dim(3)
+        axes = box_axes(kernel, n_per_axis=5)
+        g = TruncatedFunction.from_callable(lambda p: np.cos(p), axes)
+
+        def bbar(pts):
+            return 0.5 * np.sin(np.atleast_2d(pts))
+
+        t0 = time.perf_counter()
+        sol = picard_solve(g, bbar, 2.0, kernel)
+        assert time.perf_counter() - t0 < 60.0
+        assert sol.converged
+        assert sol.residual < 1e-2 * g.sup_norm()
+        assert sol.du.values.shape == (5, 5, 5, 3, 3)
+
+
+def test_time_nodes_are_the_log_panel_rule():
+    # the per-solver builder this replaced, kept as the reference
+    def time_quadrature(kernel, t_min, n_panels, gl_order):
+        t_max = 40.0 / float(kernel.eigenvalues[0])
+        edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), n_panels + 1))
+        gx, gw = np.polynomial.legendre.leggauss(gl_order)
+        nodes, weights = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            nodes.append(mid + half * gx)
+            weights.append(half * gw)
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    rng = np.random.default_rng(5)
+    cases = [(1.0, 1e-8, 30, 8), (4.0, 1e-8, 30, 8)] + [
+        (float(np.exp(rng.uniform(-3, 5))), float(np.exp(rng.uniform(-25, -1))),
+         int(rng.integers(1, 50)), int(rng.integers(1, 20))) for _ in range(300)]
+    for lam1, t_min, n_panels, gl_order in cases:
+        kernel = OuKernel(np.array([lam1]), np.array([1.0]))
+        ref = time_quadrature(kernel, t_min, n_panels, gl_order)
+        got = _log_quadrature_nodes(t_min, 40.0 / lam1, n_panels, gl_order)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
