@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, ErgodicityError, IntegrationError
 from .model import ModelConfig
-from .noise import NoiseStream, conv_increment_law, derive_substream
+from .noise import NoiseStream, derive_substream
+from .simulate import _drift_coeffs, _frozen_fast
 from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
 
 __all__ = [
@@ -128,20 +129,12 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
 
     x_big = np.repeat(xs, reps, axis=0)
     x_grid = coeffs_to_grid_values(x_big, config.m_points)
-    decay, std = conv_increment_law(params.dt, config.q2, config.eigs)
+    step = _frozen_fast(config, params.dt)
     n_burn = int(round(params.t_burn / params.dt))
     n_avg = max(1, int(round(params.t_avg / params.dt)))
 
-    def step(y):
-        y_grid = coeffs_to_grid_values(y, config.m_points)
-        f = config.drift_f(x_grid, y_grid)
-        if not np.all(np.isfinite(f)):
-            raise IntegrationError("fast drift returned a non-finite value")
-        f_c = grid_values_to_coeffs(f, n)
-        return decay * (y + params.dt * f_c) + std * stream.standard_normals(big), y_grid
-
     for _ in range(n_burn):
-        y, _ = step(y)
+        y = step(x_grid, y, stream.standard_normals(big))
 
     # Projection is linear, so the window's drift is averaged on the grid
     # and projected once; NaN and inf survive the sum, so one check after
@@ -149,8 +142,9 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     if params.strategy == "time-average":
         b_grid = np.zeros((big, config.m_points))
         for _ in range(n_avg):
-            y, y_grid = step(y)
+            y_grid = coeffs_to_grid_values(y, config.m_points)
             b_grid += config.drift_b(x_grid, y_grid)
+            y = step(x_grid, y, stream.standard_normals(big), y_grid)
         b_grid /= n_avg
     else:  # ensemble-at-horizon: one sample per replica at the horizon
         b_grid = config.drift_b(x_grid, coeffs_to_grid_values(y, config.m_points))
@@ -258,20 +252,31 @@ class MixingDiagnostic:
     stderrs: np.ndarray
 
 
+def _line_fit(x, y, w=None) -> tuple[float, float, float]:
+    """Weighted least squares of y on x (unit weights by default): (slope,
+    intercept, 1.96x the slope's standard error, 0 below 3 points)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = np.ones_like(y) if w is None else w
+    sw = np.sum(w)
+    mx = np.sum(w * x) / sw
+    my = np.sum(w * y) / sw
+    sxx = np.sum(w * (x - mx) ** 2)
+    slope = float(np.sum(w * (x - mx) * (y - my)) / sxx)
+    intercept = float(my - slope * mx)
+    resid = y - (slope * x + intercept)
+    dof = x.size - 2
+    s2 = float(np.sum(w * resid**2) / dof) if dof > 0 else 0.0
+    return slope, intercept, 1.96 * math.sqrt(s2 / sxx)
+
+
 def _fit_log_decay(times, signal, floor):
-    """OLS fit of log(signal) on the initial window where signal > 4*floor."""
+    """Decay rate of log(signal) on the initial window where signal > 4*floor."""
     ok = signal > 4.0 * np.maximum(floor, 1e-300)
     cut = int(np.argmin(ok)) if not ok.all() else len(ok)
     if cut < 4:
         return math.nan, math.inf, cut
-    t, s = times[:cut], np.log(signal[:cut])
-    a = np.vstack([t, np.ones_like(t)]).T
-    coef, res, *_ = np.linalg.lstsq(a, s, rcond=None)
-    rate = -coef[0]
-    dof = cut - 2
-    sigma2 = float(res[0]) / dof if res.size and dof > 0 else 0.0
-    se = math.sqrt(sigma2 / max(np.sum((t - t.mean()) ** 2), 1e-300))
-    return float(rate), 1.96 * se, cut
+    slope, _, ci = _line_fit(times[:cut], np.log(signal[:cut]))
+    return -slope, ci, cut
 
 
 def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
@@ -294,7 +299,7 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     y[:, 0] = displacement
     stream = derive_substream(seed, 0, "mixing", n)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (reps, n)), config.m_points)
-    decay, std = conv_increment_law(dt, config.q2, config.eigs)
+    step = _frozen_fast(config, dt)
     n_steps = int(round(horizon / dt))
     k = n_track_modes
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
@@ -303,7 +308,7 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
 
     def record(i, y):
         y_grid = coeffs_to_grid_values(y, config.m_points)
-        b = grid_values_to_coeffs(config.drift_b(x_grid, y_grid), n)
+        b = _drift_coeffs(config.drift_b, x_grid, y_grid, config)
         phi = np.concatenate([y[:, :k], b[:, :k]], axis=1)
         track_mean[i] = phi.mean(axis=0)
         track_sq[i] = (phi**2).mean(axis=0)
@@ -311,8 +316,7 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
 
     y_grid = record(0, y)
     for i in range(1, n_steps + 1):
-        f = grid_values_to_coeffs(config.drift_f(x_grid, y_grid), n)
-        y = decay * (y + dt * f) + std * stream.standard_normals(reps)
+        y = step(x_grid, y, stream.standard_normals(reps), y_grid)
         y_grid = record(i, y)
 
     times = np.arange(n_steps + 1) * dt

@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise ConfigError(f"output directory {Path(out).parent} does not exist")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (AveragingParams, BbarOracle, derive_substream,
+from .averaging import (AveragingParams, BbarOracle, _line_fit, derive_substream,
                         estimate_bbar_batch, mixing_diagnostic)
 from .errors import ConfigError
 from .model import ModelConfig
-from .noise import conv_increment_law
-from .simulate import (StepScheme, simulate_auxiliary_fast, simulate_averaged,
+from .simulate import (StepScheme, _drift_coeffs, _frozen_fast, _whole_steps,
+                       simulate_auxiliary_fast, simulate_averaged,
                        simulate_slow_fast)
-from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
+from .spectral import coeffs_to_grid_values
 
 __all__ = [
     "RateTarget",
@@ -122,19 +122,9 @@ def rate_fit(scales, estimates, stderrs=None) -> RateFit:
     x, y, s = scales[keep], estimates[keep], stderrs[keep]
     if x.size < 3:
         raise ValueError("need at least 3 positive points for a rate fit")
-    lx, ly = np.log(x), np.log(y)
     sig = np.where(y > 0, s / y, 0.0)
-    w = 1.0 / sig**2 if np.all(sig > 0) else np.ones_like(ly)
-    sw = np.sum(w)
-    mx = np.sum(w * lx) / sw
-    my = np.sum(w * ly) / sw
-    sxx = np.sum(w * (lx - mx) ** 2)
-    slope = float(np.sum(w * (lx - mx) * (ly - my)) / sxx)
-    intercept = float(my - slope * mx)
-    resid = ly - (slope * lx + intercept)
-    dof = x.size - 2
-    s2 = float(np.sum(w * resid**2) / dof) if dof > 0 else 0.0
-    ci = 1.96 * math.sqrt(s2 / sxx)
+    w = 1.0 / sig**2 if np.all(sig > 0) else None
+    slope, intercept, ci = _line_fit(np.log(x), np.log(y), w)
     return RateFit(slope=slope, intercept=intercept, ci=ci,
                    n_used=int(x.size), n_dropped=dropped)
 
@@ -297,12 +287,9 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
     t0 = time.perf_counter()
     n = config.n_modes
     dt = scheme.dt_macro
-    blocks = []
-    for d in delta_grid:
-        ratio = d / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError("every delta must be a multiple of dt_macro")
-        blocks.append(int(round(ratio)))
+    blocks = [_whole_steps(d, dt, "delta") for d in delta_grid]
+    if min(blocks) < 1:
+        raise ConfigError("every delta must be a positive multiple of dt_macro")
     x0 = np.zeros((n_mc, n)) if x0 is None else np.broadcast_to(
         np.asarray(x0, dtype=float), (n_mc, n)).copy()
     y0 = np.zeros((n_mc, n))
@@ -356,19 +343,14 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     check_idx = {int(round(t / dt)): t for t in t_checks}
 
     stream = derive_substream(seed, 0, "W2", n)
-    decay, std = conv_increment_law(dt, config.q2, config.eigs)
+    step = _frozen_fast(config, dt)
     x_grid = coeffs_to_grid_values(x, config.m_points)
     ya, yb = np.zeros((n_mc, n)), dy.copy()
     d0 = _norms(dy) ** 2
     ratios = {}
     for i in range(1, n_steps + 1):
-        zeta = std * stream.standard_normals(n_mc)
-        fa = grid_values_to_coeffs(
-            config.drift_f(x_grid, coeffs_to_grid_values(ya, config.m_points)), n)
-        fb = grid_values_to_coeffs(
-            config.drift_f(x_grid, coeffs_to_grid_values(yb, config.m_points)), n)
-        ya = decay * (ya + dt * fa) + zeta
-        yb = decay * (yb + dt * fb) + zeta
+        z = stream.standard_normals(n_mc)  # shared by both ensembles
+        ya, yb = step(x_grid, ya, z), step(x_grid, yb, z)
         if i in check_idx:
             ratios[check_idx[i]] = _norms(ya - yb) ** 2 / d0
 
@@ -383,10 +365,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
         worst.append(float(np.max(r)))
 
     # fitted decay rate of the mean squared distance (semilog in t)
-    logs = np.log(np.maximum(ests, 1e-300))
-    a = np.vstack([t_checks, np.ones(len(t_checks))]).T
-    coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
-    rate = -float(coef[0])
+    rate = -_line_fit(t_checks, np.log(np.maximum(ests, 1e-300)))[0]
 
     extra = {"tol": tol, "violations": violations, "worst_ratio": worst,
              "bound": [math.exp(-gap * t) * (1.0 + tol) for t in t_checks]}
@@ -404,13 +383,8 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
             yb2 = np.zeros((n_mc, n))
             acc, count = 0.0, 0
             for i in range(1, n_steps + 1):
-                zeta = std * wa.standard_normals(n_mc)
-                fa = grid_values_to_coeffs(config.drift_f(
-                    ga, coeffs_to_grid_values(ya2, config.m_points)), n)
-                fb = grid_values_to_coeffs(config.drift_f(
-                    gb, coeffs_to_grid_values(yb2, config.m_points)), n)
-                ya2 = decay * (ya2 + dt * fa) + zeta
-                yb2 = decay * (yb2 + dt * fb) + zeta
+                z = wa.standard_normals(n_mc)
+                ya2, yb2 = step(ga, ya2, z), step(gb, yb2, z)
                 if i * dt > 0.5 * t_final:
                     acc += float(np.mean(_norms(ya2 - yb2) ** 2))
                     count += 1
@@ -487,29 +461,23 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     n = config.n_modes
     x = np.asarray(x, dtype=float)
     stream = derive_substream(seed, 0, "corr", n)
-    decay, std = conv_increment_law(dt, config.q2, config.eigs)
+    step = _frozen_fast(config, dt)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (n_mc, n)), config.m_points)
     y = np.zeros((n_mc, n))
     for _ in range(int(round(t_burn / dt))):
-        f = grid_values_to_coeffs(config.drift_f(
-            x_grid, coeffs_to_grid_values(y, config.m_points)), n)
-        y = decay * (y + dt * f) + std * stream.standard_normals(n_mc)
+        y = step(x_grid, y, stream.standard_normals(n_mc))
 
+    # one drift sample every sample_stride steps, the first at the start
     n_keep = int(round(window / (dt * sample_stride)))
+    n_steps = (n_keep - 1) * sample_stride
     samples = np.empty((n_keep, n_mc, n))
-    step_in_stride = 0
-    kept = 0
-    while kept < n_keep:
+    for i in range(n_steps + 1):
         y_grid = coeffs_to_grid_values(y, config.m_points)
-        if step_in_stride == 0:
-            samples[kept] = grid_values_to_coeffs(
-                config.drift_b(x_grid, y_grid), n)
-            kept += 1
-            if kept == n_keep:
-                break
-        f = grid_values_to_coeffs(config.drift_f(x_grid, y_grid), n)
-        y = decay * (y + dt * f) + std * stream.standard_normals(n_mc)
-        step_in_stride = (step_in_stride + 1) % sample_stride
+        if i % sample_stride == 0:
+            samples[i // sample_stride] = _drift_coeffs(config.drift_b, x_grid,
+                                                        y_grid, config)
+        if i < n_steps:
+            y = step(x_grid, y, stream.standard_normals(n_mc), y_grid)
 
     dt_s = dt * sample_stride
     n_lags = min(n_keep - 8, int(round(lag_max / dt_s)))
@@ -529,13 +497,8 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
         fitted, ci = math.nan, math.inf
         verdict = "inconclusive"
     else:
-        t_arr = np.asarray(lags[:cut])
-        a = np.vstack([t_arr, np.ones(cut)]).T
-        coef, res, *_ = np.linalg.lstsq(a, np.log(ests_a[:cut]), rcond=None)
-        fitted = -float(coef[0])
-        dof = cut - 2
-        s2 = float(res[0]) / dof if res.size and dof > 0 else 0.0
-        ci = 1.96 * math.sqrt(s2 / max(np.sum((t_arr - t_arr.mean()) ** 2), 1e-300))
+        slope, _, ci = _line_fit(lags[:cut], np.log(ests_a[:cut]))
+        fitted = -slope
         target = config.spectral_gap * config.beta / 2.0
         verdict = "pass" if fitted >= target - ci else "fail"
     return ExperimentReport(

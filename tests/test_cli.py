@@ -169,6 +169,24 @@ class TestDispatch:
         assert "t_final" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["average"], ["check"], ["converge"],
+        ["verify", "--lemma", "contraction"], ["zvonkin"],
+    ], ids=lambda argv: argv[0])
+    def test_out_in_missing_directory_exit_2_before_work(
+            self, cfg_path, tmp_path, capsys, monkeypatch, argv):
+        from slowfast_spde import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started before checking --out")
+
+        monkeypatch.setattr(cli, "parse_config", no_work)
+        out = tmp_path / "no_such_dir" / "x.csv"
+        code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "no_such_dir" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_simulate_rerun_bit_identical(self, cfg_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

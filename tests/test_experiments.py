@@ -5,17 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowfast_spde.errors import ConfigError
+from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.experiments import (RateTarget, aux_fast_error,
                                        averaged_drift_holder,
                                        contraction_test, correlation_decay,
                                        ergodic_consistency, increment_scaling,
                                        moment_sweep, rate_fit, strong_error)
-from slowfast_spde.averaging import AveragingParams
+from slowfast_spde.averaging import AveragingParams, mixing_diagnostic
 from slowfast_spde.model import heat_example
 from slowfast_spde.noise import NoiseSpectrum
 from slowfast_spde.simulate import StepScheme
-from slowfast_spde.spectral import coeffs_to_grid_values, grid_values_to_coeffs
+from slowfast_spde.spectral import (coeffs_to_grid_values, grid_points,
+                                    grid_values_to_coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +110,11 @@ class TestIncrementScaling:
         assert all(a > b for a, b in zip(rep.estimates, rep.estimates[1:]))
 
     def test_misaligned_delta_rejected(self, heat):
-        with pytest.raises(ConfigError):
-            increment_scaling(heat, 1e-2, [0.015], 0.1, StepScheme(1e-2),
-                              n_mc=2, seed=3)
+        # off the step grid, zero, negative, or rounding to zero steps
+        for delta in (0.015, 0.0, -0.004, 1e-13):
+            with pytest.raises(ConfigError):
+                increment_scaling(heat, 1e-2, [delta], 0.1, StepScheme(1e-2),
+                                  n_mc=2, seed=3)
 
 
 class TestContraction:
@@ -256,3 +259,31 @@ class TestErgodicAndHolder:
         rep = averaged_drift_holder(heat, n_pairs=40, params=params, seed=17)
         assert np.isfinite(rep.estimates[1])
         assert rep.estimates[1] < 3.0  # bounded quotient
+
+
+@pytest.mark.parametrize("run,drift", [
+    (lambda cfg: contraction_test(cfg, (0.1, 0.2), 0.02, n_mc=4, seed=1,
+                                  x_offset_scales=(0.5,)), "drift_f"),
+    (lambda cfg: correlation_decay(cfg, np.zeros(8), lag_max=0.5, n_mc=4,
+                                   seed=1, t_burn=0.1, window=1.0), "drift_f"),
+    (lambda cfg: correlation_decay(cfg, np.zeros(8), lag_max=0.5, n_mc=4,
+                                   seed=1, t_burn=0.1, window=1.0), "drift_b"),
+    (lambda cfg: mixing_diagnostic(cfg, np.zeros(8), horizon=0.5,
+                                   n_replicas=4, seed=1), "drift_f"),
+    (lambda cfg: mixing_diagnostic(cfg, np.zeros(8), horizon=0.5,
+                                   n_replicas=4, seed=1), "drift_b"),
+], ids=["contraction-F", "correlation-F", "correlation-B", "mixing-F",
+        "mixing-B"])
+def test_non_finite_drift_raises_located_error(heat8, run, drift):
+    """A drift with NaN at one grid point stops the experiment with the
+    point named; no verdict or rate is computed from NaN paths."""
+    good = getattr(heat8, drift)
+
+    def bad(x_grid, y_grid):
+        out = np.array(good(x_grid, y_grid))
+        out[..., 3] = np.nan
+        return out
+
+    xi = grid_points(heat8.m_points)[3]
+    with pytest.raises(IntegrationError, match=f"xi={xi:.6f}"):
+        run(replace(heat8, **{drift: bad}))
