@@ -10,11 +10,9 @@ bound: bias below ``bias_tol`` requires
 
     t_burn >= 2 / ((lambda_1 - L_F) * beta) * log(1 / bias_tol).
 
-:class:`BbarOracle` wraps the estimator as a memoized callable for the
-averaged-equation solver, keyed by quantized low-mode coordinates; the
-averaged drift is Hoelder in x, so nearby states share a value.  The
-cache uses last-writer-wins semantics on identical keys (any two
-writers hold statistically equivalent values).
+:class:`BbarOracle` wraps the estimator as a callable for the
+averaged-equation solver: one batched estimate per call, over the
+call's distinct rows.
 """
 
 from __future__ import annotations
@@ -24,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ErgodicityError, IntegrationError
+from .errors import ConfigError, ErgodicityError
 from .model import ModelConfig
 from .noise import NoiseStream, derive_substream
-from .simulate import _drift_coeffs, _frozen_fast
+from .simulate import _drift_coeffs, _finite, _frozen_fast
 from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
 
 __all__ = [
@@ -52,8 +50,13 @@ class AveragingParams:
     strategy: str = "time-average"  # or "ensemble-at-horizon"
 
     def __post_init__(self):
-        if self.t_burn < 0 or self.t_avg <= 0 or self.dt <= 0:
-            raise ConfigError("horizons and dt must be positive")
+        if not 0.0 <= self.t_burn < math.inf:
+            raise ConfigError("t_burn must be finite and nonnegative, "
+                              f"got {self.t_burn}")
+        for name in ("t_avg", "dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {getattr(self, name)}")
         if self.n_replicas < 2:
             raise ConfigError("need at least 2 replicas for an error bar")
         if self.strategy not in ("time-average", "ensemble-at-horizon"):
@@ -148,9 +151,8 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
         b_grid /= n_avg
     else:  # ensemble-at-horizon: one sample per replica at the horizon
         b_grid = config.drift_b(x_grid, coeffs_to_grid_values(y, config.m_points))
-    if not np.all(np.isfinite(b_grid)):
-        raise IntegrationError("slow drift returned a non-finite value")
-    per_replica = grid_values_to_coeffs(b_grid, n).reshape(n_p, reps, n)
+    per_replica = grid_values_to_coeffs(_finite(b_grid, config, "slow drift"),
+                                        n).reshape(n_p, reps, n)
 
     values = per_replica.mean(axis=1)
     dev = per_replica - values[:, None, :]
@@ -173,68 +175,47 @@ def estimate_bbar(config: ModelConfig, x, params: AveragingParams, seed: int,
 
 
 class BbarOracle:
-    """Memoized averaged-drift callable for the averaged-equation solver.
+    """Averaged-drift callable for the averaged-equation solver.
 
-    Keys quantize the first ``key_modes`` coefficients at ``resolution``
-    (higher modes are ignored: the averaged drift is Hoelder in x, so
-    it is insensitive to small perturbations).  Cache hits return the
-    stored value; misses trigger one batched estimate per unique key.
+    The k-th call makes one :func:`estimate_bbar_batch` over its distinct
+    rows (exact equality, first-occurrence order) on the substream
+    ``(seed, k, "bbar")`` and returns each row its identical row's value.
+    Nothing is kept between calls (the averaged drift is only Hoelder in
+    x).  ``stats``: ``calls`` rows queried, ``cache_hits`` rows answered
+    by an identical row's estimate in the same call, ``cached_cells``
+    rows estimated, ``batched_estimates`` estimates made.
     """
 
-    def __init__(self, config: ModelConfig, params: AveragingParams, seed: int,
-                 key_modes: int = 8, resolution: float = 1e-2):
-        if resolution <= 0:
-            raise ConfigError("cache resolution must be positive (0 would "
-                              "memoize every float state, unbounded memory)")
+    def __init__(self, config: ModelConfig, params: AveragingParams, seed: int):
         _require_gap(config)
         self.config = config
         self.params = params
         self.seed = int(seed)
-        self.key_modes = min(key_modes, config.n_modes)
-        self.resolution = float(resolution)
-        self._cache: dict[tuple, tuple[np.ndarray, float]] = {}
         self._calls = 0
-        self._hits = 0
+        self._rows_estimated = 0
         self._estimates = 0
-
-    def _key(self, x_row: np.ndarray) -> tuple:
-        q = np.round(x_row[: self.key_modes] / self.resolution).astype(np.int64)
-        return tuple(q.tolist())
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
+        xb = np.atleast_2d(x)
+        _, first, inverse = np.unique(xb, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        vals, _ = estimate_bbar_batch(
+            self.config, xb[first[order]], self.params, seed=self.seed,
+            stream=derive_substream(self.seed, self._estimates, "bbar",
+                                    self.config.n_modes))
         self._calls += xb.shape[0]
-        keys = [self._key(row) for row in xb]
-        self._hits += sum(1 for k in keys if k in self._cache)
-        missing: dict[tuple, int] = {}
-        for i, key in enumerate(keys):
-            if key not in self._cache and key not in missing:
-                missing[key] = i
-        if missing:
-            idx = np.fromiter(missing.values(), dtype=int)
-            vals, errs = estimate_bbar_batch(
-                self.config, xb[idx], self.params,
-                seed=self.seed, stream=derive_substream(
-                    self.seed, self._estimates, "bbar", self.config.n_modes))
-            self._estimates += 1
-            for key, v, e in zip(missing.keys(), vals, errs):
-                self._cache[key] = (v, float(e))
-        out = np.stack([self._cache[k][0] for k in keys])
-        return out[0] if single else out
-
-    def stderr_at(self, x: np.ndarray) -> float:
-        """Standard error stored for the cache cell containing x."""
-        key = self._key(np.asarray(x, dtype=float))
-        if key not in self._cache:
-            self(x)
-        return self._cache[key][1]
+        self._rows_estimated += order.size
+        self._estimates += 1
+        out = vals[np.argsort(order)[inverse.reshape(-1)]]
+        return out[0] if x.ndim == 1 else out
 
     @property
     def stats(self) -> dict:
-        return {"calls": self._calls, "cache_hits": self._hits,
-                "cached_cells": len(self._cache),
+        return {"calls": self._calls,
+                "cache_hits": self._calls - self._rows_estimated,
+                "cached_cells": self._rows_estimated,
                 "batched_estimates": self._estimates}
 
 

@@ -143,21 +143,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _averaging_params(rc: ResolvedConfig, args) -> AveragingParams:
-    def flag_or(name, default):
-        # an explicit 0 must reach AveragingParams, which rejects it
-        value = getattr(args, name, None)
-        return default if value is None else value
+def _flag_or(args, name: str, default):
+    # an explicit 0 must reach the validation that rejects it
+    value = getattr(args, name, None)
+    return default if value is None else value
 
-    t_burn = flag_or("Tb", rc.t_burn)
-    t_avg = flag_or("Ta", rc.t_avg)
-    dt = flag_or("dt_frozen", rc.dt_frozen)
-    replicas = flag_or("replicas", rc.replicas)
+
+def _averaging_params(rc: ResolvedConfig, args) -> AveragingParams:
+    t_burn = _flag_or(args, "Tb", rc.t_burn)
+    t_avg = _flag_or(args, "Ta", rc.t_avg)
+    dt = _flag_or(args, "dt_frozen", rc.dt_frozen)
+    replicas = _flag_or(args, "replicas", rc.replicas)
     if t_burn is None:
         return AveragingParams.for_model(rc.model, t_avg=t_avg, dt=dt,
                                          n_replicas=replicas)
     return AveragingParams(t_burn=t_burn, t_avg=t_avg, dt=dt,
                            n_replicas=replicas)
+
+
+def _n_mc(rc: ResolvedConfig, args) -> int:
+    n_mc = _flag_or(args, "n_mc", rc.n_mc)
+    if n_mc < 2:
+        raise ConfigError(f"n_mc must be at least 2 for an error bar, got {n_mc}")
+    return n_mc
 
 
 def cmd_average(args) -> int:
@@ -205,10 +213,8 @@ def cmd_converge(args) -> int:
     eps_grid = [float(v) for v in args.eps_grid.split(",")]
     if len(eps_grid) < 3:
         raise ConfigError("--eps-grid needs at least 3 values for a rate fit")
-    n_mc = args.n_mc or rc.n_mc
-    params = AveragingParams(t_burn=10.0, t_avg=20.0, dt=0.05, n_replicas=2)
-    report = strong_error(rc.model, eps_grid, rc.t_final, rc.scheme, n_mc,
-                          seed, oracle_params=params, theta=rc.theta)
+    report = strong_error(rc.model, eps_grid, rc.t_final, rc.scheme,
+                          _n_mc(rc, args), seed, theta=rc.theta)
     return _emit_report(report, Path(args.out), "converge", rc, seed, t0)
 
 
@@ -220,7 +226,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     rc = parse_config(args.config)
     seed = _resolve_seed(args, rc)
-    n_mc = args.n_mc or rc.n_mc
+    # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
+    n_mc = None if args.lemma == "ergodicity" else _n_mc(rc, args)
     eps = args.eps if args.eps is not None else (rc.eps or 1e-2)
     model, scheme, theta = rc.model, rc.scheme, rc.theta
     if args.lemma == "contraction":

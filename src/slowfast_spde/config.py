@@ -9,10 +9,13 @@ resolved value (defaults applied) for the run manifest.
 
 Drift overrides may be given as expression strings in the variables
 ``x`` and ``y`` over the scalar vocabulary sin, cos, sqrt, abs,
-+, -, *, parentheses and numeric constants; they are compiled to
-vectorized grid evaluators.  Regularity constants for overridden
++, -, *, /, parentheses, ``pi`` and numeric constants; they are
+compiled to vectorized grid evaluators.  A division by zero such as
+``1/(x-x)`` is not rejected here: it evaluates to inf or NaN, which the
+assumption checker reports as A1 failing and every integrator rejects
+with the grid point named.  Regularity constants for overridden
 drifts should be declared via the alpha/beta/gamma/l_f/bound_b/bound_f
-keys.
+keys.  Float values must be finite.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ _ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 def parse_drift_expression(expr: str) -> DriftFn:
     """Compile an expression in x, y to a pointwise grid evaluator."""
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse drift expression {expr!r}: {exc}") from exc
 
     def build(node):
         if isinstance(node, ast.Expression):
@@ -76,7 +75,13 @@ def parse_drift_expression(expr: str) -> DriftFn:
             f"unsupported syntax in drift expression: {ast.dump(node)[:60]}"
         )
 
-    return build(tree)
+    try:
+        return build(ast.parse(expr, mode="eval"))
+    # RecursionError: deep nesting; ValueError: a NUL byte before Python 3.12;
+    # OverflowError: an integer literal too large for a float
+    except (SyntaxError, RecursionError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"cannot parse drift expression {expr[:60]!r}: {exc}") from exc
 
 
 # key -> (python type, default); None default means "required by some commands"
@@ -172,6 +177,10 @@ def parse_config(path, overrides: dict | None = None) -> ResolvedConfig:
             raise ConfigError(f"unknown override key {key!r}")
         if val is not None:
             values[key] = val
+    for key, (typ, _) in _KEYS.items():
+        val = values[key]
+        if typ is float and val is not None and not math.isfinite(val):
+            raise ConfigError(f"key {key!r} must be finite, got {val}")
 
     if values["model"] != "heat_example":
         raise ConfigError(

@@ -74,8 +74,9 @@ class StepScheme:
     fast_substep_factor: float = 0.1
 
     def __post_init__(self):
-        if self.dt_macro <= 0:
-            raise ConfigError("dt_macro must be positive")
+        if not 0.0 < self.dt_macro < math.inf:
+            raise ConfigError("dt_macro must be finite and positive, "
+                              f"got {self.dt_macro}")
         if not 0.0 < self.fast_substep_factor <= 1.0:
             raise ConfigError("fast_substep_factor must lie in (0, 1]")
 
@@ -112,12 +113,12 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _finite(vals: np.ndarray, config: ModelConfig) -> np.ndarray:
+def _finite(vals: np.ndarray, config: ModelConfig, what: str = "drift") -> np.ndarray:
     """Drift values on the grid, or IntegrationError naming a bad point."""
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(np.atleast_2d(vals)))[0]
         xi = grid_points(config.m_points)[bad[-1]]
-        raise IntegrationError(f"drift returned a non-finite value at xi={xi:.6f}")
+        raise IntegrationError(f"{what} returned a non-finite value at xi={xi:.6f}")
     return vals
 
 
@@ -194,8 +195,9 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
     x_new = decay1 * (state.x + dt * b) + std1 * w1.standard_normals(n_paths)
 
     y = state.y
-    for _ in range(laws.n_sub):
-        y = laws.fast(x_grid, y, w2.standard_normals(n_paths))
+    for _ in range(laws.n_sub):  # the first substep reuses y_grid
+        y = laws.fast(x_grid, y, w2.standard_normals(n_paths), y_grid)
+        y_grid = None
 
     return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
 

@@ -1,4 +1,4 @@
-"""Averaged-drift estimator, oracle memoization, mixing diagnostic."""
+"""Averaged-drift estimator, batched drift oracle, mixing diagnostic."""
 
 from dataclasses import replace
 
@@ -125,7 +125,7 @@ class TestEstimate:
 
         params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2,
                                  strategy=strategy)
-        with pytest.raises(IntegrationError, match="slow drift"):
+        with pytest.raises(IntegrationError, match="slow drift.*at xi="):
             estimate_bbar(replace(heat, drift_b=drift_b), np.zeros(8), params,
                           seed=21)
 
@@ -135,47 +135,62 @@ class TestEstimate:
         assert p.t_burn == pytest.approx(2.0 / gap_beta * np.log(1e3))
 
 
+def oracle_call_estimate(oracle, k, xs):
+    """What the oracle's k-th call must return at the distinct rows xs."""
+    n = oracle.config.n_modes
+    return estimate_bbar_batch(oracle.config, xs, oracle.params, oracle.seed,
+                               stream=derive_substream(oracle.seed, k, "bbar", n))
+
+
 class TestOracle:
-    def test_memoization_identical(self, heat, params, rng):
-        oracle = BbarOracle(heat, params, seed=9)
-        x = rng.standard_normal(8) * 0.3
-        v1 = oracle(x)
-        v2 = oracle(x)
-        assert np.array_equal(v1, v2)
-        assert oracle.stats["cache_hits"] >= 1
-
-    def test_same_cell_shares_value(self, heat, params):
-        oracle = BbarOracle(heat, params, seed=10, resolution=0.05)
-        x = np.zeros(8)
-        x2 = x.copy()
-        x2[0] += 0.02  # within the same quantization cell
-        assert np.array_equal(oracle(x), oracle(x2))
-
     def test_oracle_vs_fresh_estimate(self, heat, params):
         oracle = BbarOracle(heat, params, seed=11)
         x = np.full(8, 0.1)
         v = oracle(x)
+        values, stderr = oracle_call_estimate(oracle, 0, x[None, :])
+        assert np.array_equal(v, values[0])
         fresh = estimate_bbar(heat, x, params, seed=12)
-        tol = 3.0 * np.hypot(oracle.stderr_at(x), fresh.stderr)
+        tol = 3.0 * np.hypot(stderr[0], fresh.stderr)
         assert np.linalg.norm(v - fresh.value) <= tol
-
-    def test_zero_resolution_rejected(self, heat, params):
-        with pytest.raises(ConfigError, match="resolution"):
-            BbarOracle(heat, params, seed=13, resolution=0.0)
 
     def test_holder_consistency_of_oracle(self, heat, params, rng):
         # |oracle(x) - oracle(x')| <= C |x-x'|^(1/4) + 6*stderr on random
         # pairs; C = 2.5 calibrated once on this seed and frozen
         oracle = BbarOracle(heat, params, seed=14)
         m = heat.rough_index
-        for _ in range(10):
+        for i in range(10):
             x = rng.standard_normal(8) * 0.5
             dx = rng.standard_normal(8)
             dx *= rng.uniform(0.3, 1.5) / np.linalg.norm(dx)
             v1, v2 = oracle(x), oracle(x + dx)
-            noise = 6.0 * max(oracle.stderr_at(x), oracle.stderr_at(x + dx))
+            (e1,), (s1,) = oracle_call_estimate(oracle, 2 * i, x[None, :])
+            (e2,), (s2,) = oracle_call_estimate(oracle, 2 * i + 1, (x + dx)[None, :])
+            assert np.array_equal(v1, e1) and np.array_equal(v2, e2)
             lhs = np.linalg.norm(v1 - v2)
-            assert lhs <= 2.5 * np.linalg.norm(dx) ** m + noise
+            assert lhs <= 2.5 * np.linalg.norm(dx) ** m + 6.0 * max(s1, s2)
+
+    def test_repeated_rows_estimated_once_in_first_occurrence_order(
+            self, heat, params, rng, monkeypatch):
+        from slowfast_spde import averaging
+
+        a, b, c = rng.standard_normal((3, 8)) * 0.2
+        xb = np.stack([b, a, b, c, a, b])
+        batches = []
+
+        def recording(config, xs, *args, **kwargs):
+            batches.append(np.array(xs))
+            return estimate_bbar_batch(config, xs, *args, **kwargs)
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", recording)
+        oracle = BbarOracle(heat, params, seed=16)
+        oracle(np.zeros(8))
+        out = oracle(xb)
+        assert len(batches) == 2
+        assert np.array_equal(batches[1], np.stack([b, a, c]))
+        values, _ = oracle_call_estimate(oracle, 1, np.stack([b, a, c]))
+        assert np.array_equal(out, values[[0, 1, 0, 2, 1, 0]])
+        assert oracle.stats == {"calls": 7, "cache_hits": 3, "cached_cells": 4,
+                                "batched_estimates": 2}
 
     def test_batched_call_shape(self, heat, params, rng):
         oracle = BbarOracle(heat, params, seed=15)

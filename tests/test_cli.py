@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slowfast_spde.cli import main
 from slowfast_spde.config import parse_config, parse_drift_expression
@@ -113,6 +115,27 @@ class TestDriftExpressions:
             parse_drift_expression("__import__('os').system('true')")
         with pytest.raises(ConfigError):
             parse_drift_expression("exp(x)")
+
+    def test_deep_nesting_is_config_error(self):
+        with pytest.raises(ConfigError, match="recursion"):
+            parse_drift_expression("-" * 5000 + "x")
+
+    @pytest.mark.parametrize("text", ["\x00", "x + \x00", "9" * 400],
+                             ids=["nul", "nul-in-sum", "int-overflows-float"])
+    def test_unparseable_text_is_config_error(self, text):
+        with pytest.raises(ConfigError, match="cannot parse drift expression"):
+            parse_drift_expression(text)
+
+    @settings(deadline=None, max_examples=300)
+    @example("\x00")
+    @example("9" * 400)
+    @given(st.one_of(st.text(), st.text(alphabet="xyp0123456789.e+-*/() sincoqrtab,")))
+    def test_arbitrary_text_compiles_or_is_config_error(self, text):
+        try:
+            drift = parse_drift_expression(text)
+        except ConfigError:
+            return
+        assert callable(drift)
 
 
 class TestDispatch:
@@ -221,6 +244,61 @@ class TestDispatch:
                      "--Tb", "1", flag, "0", "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg_line,argv", [
+        ("", ["verify", "--lemma", "contraction", "--n-mc", "0"]),
+        ("", ["verify", "--lemma", "holder", "--n-mc", "0"]),
+        ("", ["verify", "--lemma", "contraction", "--n-mc", "1"]),
+        ("", ["converge", "--n-mc", "0"]),
+        ("n_mc = 1\n", ["verify", "--lemma", "contraction"]),
+    ], ids=["verify-0", "holder-0", "verify-1", "converge-0", "config-1"])
+    def test_n_mc_below_two_is_config_error(self, tmp_path, capsys, cfg_line,
+                                            argv):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED + cfg_line)
+        out = tmp_path / "report.json"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "n_mc" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ergodicity_ignores_n_mc(self, tmp_path, monkeypatch):
+        from slowfast_spde import cli
+        from slowfast_spde.experiments import ExperimentReport
+
+        def stub(model, params, seed):
+            return ExperimentReport("ergodic-consistency", [1.0], [0.0], [0.0],
+                                    0.0, 0.0, 0.0, "pass", seed, 0.0)
+
+        monkeypatch.setattr(cli, "ergodic_consistency", stub)
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED + "n_mc = 1\n")
+        out = tmp_path / "report.json"
+        code = main(["verify", "--lemma", "ergodicity", "--config", str(cfg),
+                     "--Tb", "1", "--out", str(out)])
+        assert code == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("cfg_text,argv,key", [
+        (SECTIONED, ["simulate", "--T", "nan"], "'t_final'"),
+        (SECTIONED, ["simulate", "--dt", "nan"], "'dt'"),
+        (SECTIONED, ["simulate", "--dt", "inf"], "'dt'"),
+        (SECTIONED.replace("dt = 2e-3", "dt = nan"), ["simulate"], "'dt'"),
+        (SECTIONED, ["average", "--Ta", "nan"], "t_avg"),
+        (SECTIONED, ["average", "--dt-frozen", "nan"], "dt"),
+        (SECTIONED, ["average", "--Tb", "inf"], "t_burn"),
+    ], ids=["T-nan", "dt-nan", "dt-inf", "config-dt-nan", "Ta-nan",
+            "dt-frozen-nan", "Tb-inf"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, cfg_text,
+                                              argv, key):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "out.csv"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
         assert not out.exists()
 
     def test_verify_contraction(self, cfg_path, tmp_path, capsys):

@@ -160,6 +160,25 @@ class TestCouplingAndDeterminism:
                                    StepScheme(1e-2), w1, w2)
         assert len(steps) == len(xs) - 1 == 20
 
+    def test_macro_step_transforms_each_state_once(self, heat, monkeypatch):
+        # x and each of the n_sub fast states go to the grid once: the
+        # first substep reuses the grid values the slow drift used
+        from slowfast_spde import simulate
+
+        calls = []
+        to_grid = simulate.coeffs_to_grid_values
+
+        def counting(*args):
+            calls.append(None)
+            return to_grid(*args)
+
+        monkeypatch.setattr(simulate, "coeffs_to_grid_values", counting)
+        scheme = StepScheme(1e-2)
+        w1, w2 = streams(8, seed=13)
+        state = SlowFastState(x=np.zeros(8), y=np.zeros(8), t=0.0, eps=1e-2)
+        step_slow_fast(state, scheme, w1, w2, heat)
+        assert len(calls) == 1 + scheme.n_substeps(1e-2)
+
     def test_w1_draw_order_contract(self, heat):
         # decoupled B (independent of y): slow-fast and averaged paths
         # coincide bitwise under replayed W1
