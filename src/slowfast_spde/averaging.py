@@ -134,23 +134,22 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     x_grid = coeffs_to_grid_values(x_big, config.m_points)
     step = _frozen_fast(config, params.dt)
     n_burn = int(round(params.t_burn / params.dt))
-    n_avg = max(1, int(round(params.t_avg / params.dt)))
+    # ensemble-at-horizon: one sample per replica, at the end of the burn-in
+    n_avg = (max(1, int(round(params.t_avg / params.dt)))
+             if params.strategy == "time-average" else 1)
 
-    for _ in range(n_burn):
-        y = step(x_grid, y, stream.standard_normals(big))
-
-    # Projection is linear, so the window's drift is averaged on the grid
-    # and projected once; NaN and inf survive the sum, so one check after
-    # the window rejects a non-finite value on any step.
-    if params.strategy == "time-average":
-        b_grid = np.zeros((big, config.m_points))
-        for _ in range(n_avg):
-            y_grid = coeffs_to_grid_values(y, config.m_points)
+    # States 0 .. n_burn + n_avg - 1 with one step between neighbours; the
+    # last n_avg are sampled.  Projection is linear, so the drift is
+    # averaged on the grid and projected once; NaN and inf survive the sum,
+    # so one check after the loop rejects a non-finite value on any sample.
+    b_grid = np.zeros((big, config.m_points))
+    for i in range(n_burn + n_avg):
+        y_grid = coeffs_to_grid_values(y, config.m_points)
+        if i >= n_burn:
             b_grid += config.drift_b(x_grid, y_grid)
+        if i + 1 < n_burn + n_avg:
             y = step(x_grid, y, stream.standard_normals(big), y_grid)
-        b_grid /= n_avg
-    else:  # ensemble-at-horizon: one sample per replica at the horizon
-        b_grid = config.drift_b(x_grid, coeffs_to_grid_values(y, config.m_points))
+    b_grid /= n_avg
     per_replica = grid_values_to_coeffs(_finite(b_grid, config, "slow drift"),
                                         n).reshape(n_p, reps, n)
 

@@ -7,11 +7,16 @@ Subcommands: ``simulate`` (coupled trajectory to CSV), ``average``
 solve).  Exit codes: 0 pass, 1 verdict failure, 2 usage/config error;
 the JSON ``verdict`` field and the exit code always agree.
 
-Every run emits a manifest next to its primary output recording the
-fully resolved configuration, the seed, the package version and the
-SHA-256 digest of each output file; reruns with an equal manifest
-reproduce equal digests (all randomness flows from the single seed;
-the environment variable ``SPDE_SEED`` overrides it for CI).  Outputs
+Every run that writes a file (``check`` only with ``--out``) emits a
+manifest next to its primary output.  :func:`main` alone parses the
+config, resolves the seed, times the run and writes the manifest, which
+records the resolved configuration (every flag that names a config key,
+such as ``--Ta`` for ``t_avg``, overrides that key there), the other
+flags, the seed used, the package version, the wall clock and the
+SHA-256 digest of each output file.  Reruns with an equal manifest
+reproduce equal digests: all randomness flows from the single seed,
+taken from ``--seed``, else the environment variable ``SPDE_SEED``,
+else the config.  Outputs
 are CSV (RFC 4180, header row, ``.`` decimal) and JSON (UTF-8, sorted
 keys); there are no binary formats.
 """
@@ -30,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, averaging
 from .averaging import AveragingParams, estimate_bbar
-from .config import ResolvedConfig, parse_config
+from .config import _KEYS, ResolvedConfig, parse_config
 from .errors import ConfigError, SlowFastError
 from .experiments import (ExperimentReport, aux_fast_error,
                           averaged_drift_holder, contraction_test,
@@ -54,6 +59,7 @@ class RunManifest:
 
     subcommand: str
     config: dict
+    flags: dict
     seed: int
     version: str
     wall_clock_s: float
@@ -78,22 +84,23 @@ def _write_csv(path: Path, rows) -> None:
             writer.writerow(row)
 
 
-def _emit_manifest(subcommand: str, rc: ResolvedConfig, seed: int,
-                   t_start: float, outputs: list[Path]) -> None:
+def _emit_manifest(args, rc: ResolvedConfig, seed: int, wall_clock_s: float,
+                   outputs: list[Path]) -> None:
     manifest = RunManifest(
-        subcommand=subcommand,
+        subcommand=args.subcommand,
         config=rc.echo,
+        flags={k: v for k, v in vars(args).items()
+               if k not in _KEYS and k not in ("subcommand", "handler")},
         seed=seed,
         version=__version__,
-        wall_clock_s=time.perf_counter() - t_start,
+        wall_clock_s=wall_clock_s,
         outputs={str(p): _sha256(p) for p in outputs if p.exists()},
     )
-    base = outputs[0] if outputs else Path(f"{subcommand}.out")
-    _write_json(Path(str(base) + ".manifest.json"), asdict(manifest))
+    _write_json(Path(str(outputs[0]) + ".manifest.json"), asdict(manifest))
 
 
 def _resolve_seed(args, rc: ResolvedConfig) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get(_ENV_SEED)
     if env is not None:
@@ -101,23 +108,17 @@ def _resolve_seed(args, rc: ResolvedConfig) -> int:
     return rc.seed
 
 
-def _emit_report(report: ExperimentReport, out: Path, subcommand: str,
-                 rc: ResolvedConfig, seed: int, t0: float) -> int:
-    _write_json(out, report.to_json_dict(include_timing=False))
+def _write_report(report: ExperimentReport, out: Path) -> tuple[list[Path], int]:
+    _write_json(out, report.to_json_dict())
     csv_path = out.with_suffix(".csv")
     _write_csv(csv_path, report.csv_rows())
-    _emit_manifest(subcommand, rc, seed, t0, [out, csv_path])
     print(f"{report.name}: {report.verdict} "
           f"(slope={report.slope:.4g} +/- {report.slope_ci:.4g}, "
           f"target={report.target:.4g})")
-    return 0 if report.verdict == "pass" else 1
+    return [out, csv_path], 0 if report.verdict == "pass" else 1
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config, overrides={
-        "eps": args.eps, "t_final": args.T, "dt": args.dt})
-    seed = _resolve_seed(args, rc)
+def cmd_simulate(args, rc: ResolvedConfig, seed: int):
     if rc.eps is None:
         raise ConfigError("eps is required (flag --eps or config key eps)")
     n = rc.model.n_modes
@@ -138,41 +139,33 @@ def cmd_simulate(args) -> int:
                     + [repr(float(v)) for v in xs.states[i][:k_show]])
     out = Path(args.out)
     _write_csv(out, rows)
-    _emit_manifest("simulate", rc, seed, t0, [out])
     print(f"wrote {len(xs.times)} macro states to {out}")
-    return 0
+    return [out], 0
 
 
-def _flag_or(args, name: str, default):
-    # an explicit 0 must reach the validation that rejects it
-    value = getattr(args, name, None)
-    return default if value is None else value
+def _averaging_params(rc: ResolvedConfig) -> AveragingParams:
+    if rc.t_burn is None:
+        return AveragingParams.for_model(rc.model, t_avg=rc.t_avg,
+                                         dt=rc.dt_frozen, n_replicas=rc.replicas)
+    return AveragingParams(t_burn=rc.t_burn, t_avg=rc.t_avg, dt=rc.dt_frozen,
+                           n_replicas=rc.replicas)
 
 
-def _averaging_params(rc: ResolvedConfig, args) -> AveragingParams:
-    t_burn = _flag_or(args, "Tb", rc.t_burn)
-    t_avg = _flag_or(args, "Ta", rc.t_avg)
-    dt = _flag_or(args, "dt_frozen", rc.dt_frozen)
-    replicas = _flag_or(args, "replicas", rc.replicas)
-    if t_burn is None:
-        return AveragingParams.for_model(rc.model, t_avg=t_avg, dt=dt,
-                                         n_replicas=replicas)
-    return AveragingParams(t_burn=t_burn, t_avg=t_avg, dt=dt,
-                           n_replicas=replicas)
+def _long_burn_params(rc: ResolvedConfig) -> AveragingParams:
+    """The holder and zvonkin estimates' parameters: a fixed burn-in of 16."""
+    return AveragingParams(t_burn=16.0, t_avg=rc.t_avg, dt=rc.dt_frozen,
+                           n_replicas=rc.replicas)
 
 
-def _n_mc(rc: ResolvedConfig, args) -> int:
-    n_mc = _flag_or(args, "n_mc", rc.n_mc)
-    if n_mc < 2:
-        raise ConfigError(f"n_mc must be at least 2 for an error bar, got {n_mc}")
-    return n_mc
+def _n_mc(rc: ResolvedConfig) -> int:
+    if rc.n_mc < 2:
+        raise ConfigError(
+            f"n_mc must be at least 2 for an error bar, got {rc.n_mc}")
+    return rc.n_mc
 
 
-def cmd_average(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config)
-    seed = _resolve_seed(args, rc)
-    params = _averaging_params(rc, args)
+def cmd_average(args, rc: ResolvedConfig, seed: int):
+    params = _averaging_params(rc)
     n = rc.model.n_modes
     if args.x == "zero":
         x = np.zeros(n)
@@ -185,16 +178,12 @@ def cmd_average(args) -> int:
         rows.append((str(k), repr(float(v)), repr(est.stderr)))
     out = Path(args.out)
     _write_csv(out, rows)
-    _emit_manifest("average", rc, seed, t0, [out])
     print(f"averaged drift at |x|={np.linalg.norm(x):.4g}: "
           f"|Bbar|={np.linalg.norm(est.value):.6g} +/- {est.stderr:.2g}")
-    return 0
+    return [out], 0
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config, overrides={"theta": args.theta})
-    seed = _resolve_seed(args, rc)
+def cmd_check(args, rc: ResolvedConfig, seed: int):
     report = check_assumptions(rc.model, rc.theta, kappa1=args.kappa1)
     print(report.summary())
     outputs = []
@@ -202,33 +191,26 @@ def cmd_check(args) -> int:
         out = Path(args.out)
         _write_json(out, report.to_dict())
         outputs.append(out)
-        _emit_manifest("check", rc, seed, t0, outputs)
-    return 0 if report.all_hold else 1
+    return outputs, 0 if report.all_hold else 1
 
 
-def cmd_converge(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config, overrides={"t_final": args.T, "dt": args.dt})
-    seed = _resolve_seed(args, rc)
+def cmd_converge(args, rc: ResolvedConfig, seed: int):
     eps_grid = [float(v) for v in args.eps_grid.split(",")]
     if len(eps_grid) < 3:
         raise ConfigError("--eps-grid needs at least 3 values for a rate fit")
     report = strong_error(rc.model, eps_grid, rc.t_final, rc.scheme,
-                          _n_mc(rc, args), seed, theta=rc.theta)
-    return _emit_report(report, Path(args.out), "converge", rc, seed, t0)
+                          _n_mc(rc), seed, theta=rc.theta)
+    return _write_report(report, Path(args.out))
 
 
 _LEMMAS = ("contraction", "increments", "aux-fast", "correlation", "moments",
            "ergodicity", "holder")
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config)
-    seed = _resolve_seed(args, rc)
+def cmd_verify(args, rc: ResolvedConfig, seed: int):
     # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
-    n_mc = None if args.lemma == "ergodicity" else _n_mc(rc, args)
-    eps = args.eps if args.eps is not None else (rc.eps or 1e-2)
+    n_mc = None if args.lemma == "ergodicity" else _n_mc(rc)
+    eps = rc.eps or 1e-2
     model, scheme, theta = rc.model, rc.scheme, rc.theta
     if args.lemma == "contraction":
         report = contraction_test(model, t_checks=(1.0, 2.0, 4.0), dt=0.01,
@@ -248,21 +230,16 @@ def cmd_verify(args) -> int:
         report = moment_sweep(model, (1e-1, 1e-2, 1e-3), rc.t_final, scheme,
                               n_mc, seed)
     elif args.lemma == "ergodicity":
-        report = ergodic_consistency(model, _averaging_params(rc, args), seed)
+        report = ergodic_consistency(model, _averaging_params(rc), seed)
     elif args.lemma == "holder":
-        params = AveragingParams(t_burn=16.0, t_avg=rc.t_avg, dt=rc.dt_frozen,
-                                 n_replicas=rc.replicas)
-        report = averaged_drift_holder(model, n_pairs=n_mc, params=params,
-                                       seed=seed)
+        report = averaged_drift_holder(model, n_pairs=n_mc,
+                                       params=_long_burn_params(rc), seed=seed)
     else:  # unreachable with argparse choices
         raise ConfigError(f"unknown lemma {args.lemma!r}")
-    return _emit_report(report, Path(args.out), "verify", rc, seed, t0)
+    return _write_report(report, Path(args.out))
 
 
-def cmd_zvonkin(args) -> int:
-    t0 = time.perf_counter()
-    rc = parse_config(args.config)
-    seed = _resolve_seed(args, rc)
+def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     d = args.dim
     if not 1 <= d <= 3:
         raise ConfigError("dim must be 1, 2 or 3")
@@ -271,17 +248,13 @@ def cmd_zvonkin(args) -> int:
     axes = box_axes(kernel, n_per_axis=args.grid)
     check_picard_grid(tuple(a.shape[0] for a in axes))
     lambdas = sorted(float(v) for v in args.lam.split(","))
-
-    from .averaging import estimate_bbar_batch
-
-    params = AveragingParams(t_burn=16.0, t_avg=rc.t_avg, dt=rc.dt_frozen,
-                             n_replicas=max(2, rc.replicas))
+    params = _long_burn_params(rc)
 
     def bbar_truncated(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         xs = np.zeros((pts.shape[0], model.n_modes))
         xs[:, :d] = pts
-        values, _ = estimate_bbar_batch(model, xs, params, seed)
+        values, _ = averaging.estimate_bbar_batch(model, xs, params, seed)
         return values[:, :d]
 
     # The solvers read the drift only at g's nodes, where the table
@@ -307,10 +280,9 @@ def cmd_zvonkin(args) -> int:
                "iterations": sol.iterations, "converged": sol.converged}
     json_path = out.with_suffix(".json")
     _write_json(json_path, summary)
-    _emit_manifest("zvonkin", rc, seed, t0, [out, json_path])
     print(f"residual={sol.residual:.3g}, lambda table: "
           + ", ".join(f"{r['lambda']:g}: |U|={r['sup_u']:.4g}" for r in rows))
-    return 0
+    return [out, json_path], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,31 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one coupled trajectory")
     common(p, "trajectory.csv")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--T", dest="t_final", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("average", help="estimate the averaged drift at a point")
     common(p, "bbar.csv")
     p.add_argument("--x", default="zero", help="'zero' or CSV of coefficients")
-    p.add_argument("--Tb", type=float, default=None, help="burn-in time")
-    p.add_argument("--Ta", type=float, default=None, help="averaging time")
+    p.add_argument("--Tb", dest="t_burn", type=float, default=None,
+                   help="burn-in time")
+    p.add_argument("--Ta", dest="t_avg", type=float, default=None,
+                   help="averaging time")
     p.add_argument("--dt-frozen", dest="dt_frozen", type=float, default=None)
     p.add_argument("--replicas", type=int, default=None)
     p.set_defaults(handler=cmd_average)
 
     p = sub.add_parser("check", help="run the assumption checker")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    common(p, None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--kappa1", type=float, default=None)
-    p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("converge", help="strong-convergence experiment")
     common(p, "strong_error.json")
     p.add_argument("--eps-grid", dest="eps_grid", default="1e-1,3e-2,1e-2,3e-3")
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--T", dest="t_final", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
     p.set_defaults(handler=cmd_converge)
@@ -364,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=_LEMMAS)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p.add_argument("--Tb", type=float, default=None)
-    p.add_argument("--Ta", type=float, default=None)
+    p.add_argument("--Tb", dest="t_burn", type=float, default=None)
+    p.add_argument("--Ta", dest="t_avg", type=float, default=None)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("zvonkin", help="solve the truncated elliptic equation")
@@ -381,11 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t_start = time.perf_counter()
     try:
-        out = getattr(args, "out", None)
-        if out is not None and not Path(out).parent.is_dir():
-            raise ConfigError(f"output directory {Path(out).parent} does not exist")
-        return args.handler(args)
+        out_dir = None if args.out is None else Path(args.out).parent
+        if out_dir is not None and not out_dir.is_dir():
+            raise ConfigError(f"output directory {out_dir} does not exist")
+        # every flag named after a config key overrides it; the seed keeps
+        # its own precedence (flag, then $SPDE_SEED, then config)
+        rc = parse_config(args.config, overrides={
+            k: v for k, v in vars(args).items() if k in _KEYS and k != "seed"})
+        seed = _resolve_seed(args, rc)
+        outputs, code = args.handler(args, rc, seed)
+        if outputs:
+            _emit_manifest(args, rc, seed, time.perf_counter() - t_start,
+                           outputs)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

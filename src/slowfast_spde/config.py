@@ -9,8 +9,9 @@ resolved value (defaults applied) for the run manifest.
 
 Drift overrides may be given as expression strings in the variables
 ``x`` and ``y`` over the scalar vocabulary sin, cos, sqrt, abs,
-+, -, *, /, parentheses, ``pi`` and numeric constants; they are
-compiled to vectorized grid evaluators.  A division by zero such as
++, -, *, /, parentheses, ``pi`` and numeric constants, with operators
+nested at most ``MAX_DRIFT_DEPTH`` (100) deep; they are compiled to
+vectorized grid evaluators.  A division by zero such as
 ``1/(x-x)`` is not rejected here: it evaluates to inf or NaN, which the
 assumption checker reports as A1 failing and every integrator rejects
 with the grid point named.  Regularity constants for overridden
@@ -38,14 +39,20 @@ __all__ = ["ResolvedConfig", "parse_config", "parse_drift_expression"]
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
 _ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                    ast.Mult: operator.mul, ast.Div: operator.truediv}
+# Each level compiles to one nested lambda, so the cap bounds the stack an
+# evaluation needs wherever an integrator calls it.  Parentheses add no level.
+MAX_DRIFT_DEPTH = 100
 
 
 def parse_drift_expression(expr: str) -> DriftFn:
     """Compile an expression in x, y to a pointwise grid evaluator."""
 
-    def build(node):
+    def build(node, depth=0):
+        if depth > MAX_DRIFT_DEPTH:
+            raise ConfigError(f"drift expression {expr[:60]!r} nests deeper "
+                              f"than {MAX_DRIFT_DEPTH} levels")
         if isinstance(node, ast.Expression):
-            return build(node.body)
+            return build(node.body, depth)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             v = float(node.value)
             return lambda x, y: v
@@ -58,18 +65,18 @@ def parse_drift_expression(expr: str) -> DriftFn:
                 return lambda x, y: math.pi
             raise ConfigError(f"unknown name {node.id!r} in drift expression")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            inner = build(node.operand)
+            inner = build(node.operand, depth + 1)
             return lambda x, y: -inner(x, y)
         if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
             op = _ALLOWED_BINOPS[type(node.op)]
-            left, right = build(node.left), build(node.right)
+            left, right = build(node.left, depth + 1), build(node.right, depth + 1)
             return lambda x, y: op(left(x, y), right(x, y))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fname = node.func.id
             if fname not in _ALLOWED_FUNCS or len(node.args) != 1 or node.keywords:
                 raise ConfigError(f"unsupported call {fname!r} in drift expression")
             fn = _ALLOWED_FUNCS[fname]
-            arg = build(node.args[0])
+            arg = build(node.args[0], depth + 1)
             return lambda x, y: fn(arg(x, y))
         raise ConfigError(
             f"unsupported syntax in drift expression: {ast.dump(node)[:60]}"

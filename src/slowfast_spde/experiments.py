@@ -26,7 +26,6 @@ its confidence band yields "inconclusive", never a silent pass.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -142,13 +141,11 @@ class ExperimentReport:
     target: float
     verdict: str
     seed: int
-    wall_time_s: float
     extra: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        """Schema dict; emitted report files drop the timing field so a
-        rerun with the same seed is bit-identical (timing lives in the
-        run manifest)."""
+    def to_json_dict(self) -> dict:
+        """Schema dict; it holds no timing, so a rerun with the same seed
+        is bit-identical (timing lives in the run manifest)."""
         d = {
             "name": self.name,
             "grid": [float(g) for g in self.grid],
@@ -160,8 +157,6 @@ class ExperimentReport:
             "verdict": self.verdict,
             "seed": int(self.seed),
         }
-        if include_timing:
-            d["wall_time_s"] = float(self.wall_time_s)
         if self.extra:
             d["extra"] = self.extra
         return d
@@ -204,7 +199,6 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
     alongside the fitted slope but not asserted as an equality: the
     proved rate is an upper-bound construction.
     """
-    t0 = time.perf_counter()
     eps_grid = sorted(float(e) for e in eps_grid)  # ascending
     n = config.n_modes
     if oracle is None:
@@ -264,8 +258,7 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
     return ExperimentReport(
         name="strong-convergence", grid=eps_grid, estimates=ests, stderrs=ses,
         slope=fit.slope, slope_ci=fit.ci, target=target.exponent,
-        verdict=verdict, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"paired_differences": paired, "p": p,
+        verdict=verdict, seed=seed, extra={"paired_differences": paired, "p": p,
                "delta_rule_examples": {repr(e): target.delta_rule(e)
                                        for e in eps_grid},
                "oracle_stats": getattr(oracle, "stats", None)},
@@ -284,7 +277,6 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
     step for a nonzero estimate.  Verdict: fitted slope >= 0.8 * theta,
     CI-aware.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     dt = scheme.dt_macro
     blocks = [_whole_steps(d, dt, "delta") for d in delta_grid]
@@ -310,8 +302,7 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
         name="time-increment-scaling", grid=[float(d) for d in delta_grid],
         estimates=ests, stderrs=ses, slope=fit.slope, slope_ci=fit.ci,
         target=target, verdict=_ci_verdict_geq(fit.slope, fit.ci, target),
-        seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"eps": eps, "theta": theta},
+        seed=seed, extra={"eps": eps, "theta": theta},
     )
 
 
@@ -329,7 +320,6 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     leave a plateau bounded by C |dx|^{2 gamma}; the fitted C must be
     stable across offset scales.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     gap = config.spectral_gap
     rng = np.random.default_rng(seed)
@@ -398,8 +388,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     verdict = "pass" if violations == 0 else "fail"
     return ExperimentReport(
         name="fast-contraction", grid=t_checks, estimates=ests, stderrs=ses,
-        slope=rate, slope_ci=0.0, target=gap, verdict=verdict, seed=seed,
-        wall_time_s=time.perf_counter() - t0, extra=extra,
+        slope=rate, slope_ci=0.0, target=gap, verdict=verdict, seed=seed, extra=extra,
     )
 
 
@@ -412,7 +401,6 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
     difference isolates the freezing of the slow argument.  Verdict:
     fitted slope >= 0.8 * theta * gamma, CI-aware.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     dt = scheme.dt_macro
     x0 = np.zeros((n_mc, n))
@@ -440,8 +428,7 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
         name="fast-freeze-error", grid=[float(d) for d in delta_grid],
         estimates=ests, stderrs=ses, slope=fit.slope, slope_ci=fit.ci,
         target=target, verdict=verdict,
-        seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"eps": eps, "theta": theta, "gamma": config.gamma},
+        seed=seed, extra={"eps": eps, "theta": theta, "gamma": config.gamma},
     )
 
 
@@ -457,7 +444,6 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     (lambda_1 - L_F) * beta / 2 within its CI; lags where the signal
     drops below twice its standard error are excluded from the fit.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     x = np.asarray(x, dtype=float)
     stream = derive_substream(seed, 0, "corr", n)
@@ -505,8 +491,7 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
         name="correlation-decay", grid=lags, estimates=ests, stderrs=ses,
         slope=fitted, slope_ci=ci,
         target=config.spectral_gap * config.beta / 2.0, verdict=verdict,
-        seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"fit_lags": cut, "lag_step": dt_s},
+        seed=seed, extra={"fit_lags": cut, "lag_step": dt_s},
     )
 
 
@@ -526,7 +511,6 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
     speed, so moderate eps-dependence is real); its spread is
     reported, not gated.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     eps_grid = [float(e) for e in eps_grid]
     x0 = np.zeros((n_mc, n)) if x0 is None else np.broadcast_to(
@@ -566,7 +550,7 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
     return ExperimentReport(
         name="moment-uniformity", grid=eps_grid, estimates=sup_y,
         stderrs=se_y, slope=0.0, slope_ci=0.0, target=spread_tol,
-        verdict=verdict, seed=seed, wall_time_s=time.perf_counter() - t0,
+        verdict=verdict, seed=seed,
         extra={"sup_x": sup_x, "stderr_x": se_x, "spread_x": sx, "spread_y": sy},
     )
 
@@ -583,7 +567,6 @@ def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
     dynamics, which must be at least (lambda_1 - L_F) * beta / 2 within
     its CI.
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
@@ -608,7 +591,7 @@ def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
                    float(np.linalg.norm(values[1]))],
         stderrs=[float(errs[0]), float(errs[1])],
         slope=diag.rate, slope_ci=diag.rate_ci, target=target,
-        verdict=verdict, seed=seed, wall_time_s=time.perf_counter() - t0,
+        verdict=verdict, seed=seed,
         extra={"difference": diff, "combined_stderr": combined,
                "agreement": agree, "mixing_rate_ok": rate_ok,
                "mixing_window": list(diag.window),
@@ -630,7 +613,6 @@ def averaged_drift_holder(config: ModelConfig, n_pairs: int,
     |Bbar(x) - Bbar(x')| / |x - x'|^m.  The max must be stable under
     doubling the pair count (relative change below ``stability_tol``).
     """
-    t0 = time.perf_counter()
     n = config.n_modes
     m = config.rough_index if exponent is None else float(exponent)
     rng = np.random.default_rng(seed)
@@ -664,8 +646,7 @@ def averaged_drift_holder(config: ModelConfig, n_pairs: int,
         estimates=[max_half, max_full],
         stderrs=[float(np.max(noise[:n_pairs])), float(np.max(noise))],
         slope=0.0, slope_ci=0.0, target=stability_tol, verdict=verdict,
-        seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"exponent": m, "max_change": change,
+        seed=seed, extra={"exponent": m, "max_change": change,
                "median_quotient": float(np.median(quot)),
                "mean_noise_quotient": float(np.mean(noise))},
     )

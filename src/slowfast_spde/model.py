@@ -323,6 +323,9 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    for name, kappa in (("kappa1", kappa1), ("kappa2", kappa2)):
+        if kappa is not None and not math.isfinite(kappa):
+            raise ConfigError(f"{name} must be finite, got {kappa}")
     report = AssumptionReport()
     a_lam, p_lam = _spectrum_rule(config.eigs)
     aq1, pq1 = _noise_rule(config.q1)

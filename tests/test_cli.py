@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowfast_spde.cli import main
-from slowfast_spde.config import parse_config, parse_drift_expression
+from slowfast_spde.config import (MAX_DRIFT_DEPTH, parse_config,
+                                  parse_drift_expression)
 from slowfast_spde.errors import ConfigError
 
 MINIMAL = "model = heat_example\nr1 = 0.1\nr2 = 0.1\nn_modes = 32\n"
@@ -119,6 +120,22 @@ class TestDriftExpressions:
     def test_deep_nesting_is_config_error(self):
         with pytest.raises(ConfigError, match="recursion"):
             parse_drift_expression("-" * 5000 + "x")
+
+    def test_nesting_cap_leaves_room_on_the_stack(self):
+        # an integrator calls the drift from deep inside its own frames
+        drift = parse_drift_expression("-" * MAX_DRIFT_DEPTH + "x")
+
+        def call_from_depth(frames):
+            if frames == 0:
+                return drift(np.ones(3), np.zeros(3))
+            return call_from_depth(frames - 1)
+
+        assert np.all(call_from_depth(200) == 1.0)
+        with pytest.raises(ConfigError, match=f"deeper than {MAX_DRIFT_DEPTH}"):
+            parse_drift_expression("-" * (MAX_DRIFT_DEPTH + 1) + "x")
+        # parentheses add no depth
+        assert callable(parse_drift_expression(
+            "(" * 150 + "-" * MAX_DRIFT_DEPTH + "x" + ")" * 150))
 
     @pytest.mark.parametrize("text", ["\x00", "x + \x00", "9" * 400],
                              ids=["nul", "nul-in-sum", "int-overflows-float"])
@@ -269,7 +286,7 @@ class TestDispatch:
 
         def stub(model, params, seed):
             return ExperimentReport("ergodic-consistency", [1.0], [0.0], [0.0],
-                                    0.0, 0.0, 0.0, "pass", seed, 0.0)
+                                    0.0, 0.0, 0.0, "pass", seed)
 
         monkeypatch.setattr(cli, "ergodic_consistency", stub)
         cfg = tmp_path / "heat.cfg"
@@ -300,6 +317,57 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["average", "--Tb", "1", "--Ta", "1"],
+        ["verify", "--lemma", "holder", "--n-mc", "2"],
+        ["zvonkin", "--grid", "9"],
+    ], ids=["average", "holder", "zvonkin"])
+    def test_one_replica_is_config_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED + "replicas = 1\n")
+        out = tmp_path / "out.csv"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "at least 2 replicas" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_check_non_finite_kappa1_is_config_error(self, cfg_path, tmp_path,
+                                                     capsys, value):
+        out = tmp_path / "report.json"
+        code = main(["check", "--config", str(cfg_path), "--kappa1", value,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "kappa1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,section,key,runs", [
+        (["average", "--Tb", "1", "--dt-frozen", "0.1", "--replicas", "2"],
+         "--Ta", "config", "t_avg", [("1", 1.0), ("2", 2.0)]),
+        (["converge", "--T", "0.004", "--eps-grid", "0.1,0.05,0.02"],
+         "--n-mc", "config", "n_mc", [("2", 2), ("3", 3)]),
+        (["verify", "--lemma", "contraction", "--n-mc", "4"],
+         "--eps", "config", "eps", [("0.1", 0.1), ("0.2", 0.2)]),
+        (["zvonkin", "--lambda", "1,10"],
+         "--grid", "flags", "grid", [("9", 9), ("17", 17)]),
+        (["zvonkin", "--grid", "9"],
+         "--lambda", "flags", "lam", [("1,10", "1,10"), ("2,10", "2,10")]),
+        (["check"], "--kappa1", "flags", "kappa1", [("0.5", 0.5), ("0.75", 0.75)]),
+    ], ids=["average-Ta", "converge-n-mc", "verify-eps", "zvonkin-grid",
+            "zvonkin-lambda", "check-kappa1"])
+    def test_manifest_records_the_flag(self, cfg_path, tmp_path, argv, flag,
+                                       section, key, runs):
+        # two runs that differ in one flag write manifests that differ in it
+        for i, (value, recorded) in enumerate(runs):
+            out = tmp_path / f"run{i}.out"
+            code = main(argv + [flag, value, "--config", str(cfg_path),
+                                "--seed", "3", "--out", str(out)])
+            assert code in (0, 1)
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest[section][key] == recorded
+            assert manifest["seed"] == 3
 
     def test_verify_contraction(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "contraction.json"
