@@ -130,9 +130,9 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     if stream is None:
         stream = derive_substream(seed, 0, "bbar", n)
 
-    x_big = np.repeat(xs, reps, axis=0)
-    x_grid = coeffs_to_grid_values(x_big, config.m_points)
-    step = _frozen_fast(config, params.dt)
+    m = config.m_points
+    step = _frozen_fast(config, params.dt)(
+        coeffs_to_grid_values(np.repeat(xs, reps, axis=0), m), big)
     n_burn = int(round(params.t_burn / params.dt))
     # ensemble-at-horizon: one sample per replica, at the end of the burn-in
     n_avg = (max(1, int(round(params.t_avg / params.dt)))
@@ -142,13 +142,15 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     # last n_avg are sampled.  Projection is linear, so the drift is
     # averaged on the grid and projected once; NaN and inf survive the sum,
     # so one check after the loop rejects a non-finite value on any sample.
-    b_grid = np.zeros((big, config.m_points))
+    b_grid = np.zeros((big, m))
+    y_grid = np.empty((big, m))
+    normals = np.empty((big, n))
     for i in range(n_burn + n_avg):
-        y_grid = coeffs_to_grid_values(y, config.m_points)
+        coeffs_to_grid_values(y, m, y_grid)
         if i >= n_burn:
-            b_grid += config.drift_b(x_grid, y_grid)
+            b_grid += step.drift_b(y_grid)
         if i + 1 < n_burn + n_avg:
-            y = step(x_grid, y, stream.standard_normals(big), y_grid)
+            step(y, stream.standard_normals(big, out=normals), y_grid)
     b_grid /= n_avg
     per_replica = grid_values_to_coeffs(_finite(b_grid, config, "slow drift"),
                                         n).reshape(n_p, reps, n)
@@ -279,25 +281,27 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     y[:, 0] = displacement
     stream = derive_substream(seed, 0, "mixing", n)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (reps, n)), config.m_points)
-    step = _frozen_fast(config, dt)
+    step = _frozen_fast(config, dt)(x_grid, reps)
     n_steps = int(round(horizon / dt))
     k = n_track_modes
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
     track_mean = np.empty((n_steps + 1, 2 * k))
     track_sq = np.empty((n_steps + 1, 2 * k))
 
+    y_grid = np.empty((reps, config.m_points))
+    normals = np.empty((reps, n))
+
     def record(i, y):
-        y_grid = coeffs_to_grid_values(y, config.m_points)
-        b = _drift_coeffs(config.drift_b, x_grid, y_grid, config)
+        coeffs_to_grid_values(y, config.m_points, y_grid)
+        b = _drift_coeffs(step.drift_b(y_grid), config)
         phi = np.concatenate([y[:, :k], b[:, :k]], axis=1)
         track_mean[i] = phi.mean(axis=0)
         track_sq[i] = (phi**2).mean(axis=0)
-        return y_grid
 
-    y_grid = record(0, y)
+    record(0, y)
     for i in range(1, n_steps + 1):
-        y = step(x_grid, y, stream.standard_normals(reps), y_grid)
-        y_grid = record(i, y)
+        step(y, stream.standard_normals(reps, out=normals), y_grid)
+        record(i, y)
 
     times = np.arange(n_steps + 1) * dt
     var = np.maximum(track_sq - track_mean**2, 0.0) * reps / max(reps - 1, 1)

@@ -119,12 +119,11 @@ def _write_report(report: ExperimentReport, out: Path) -> tuple[list[Path], int]
 
 
 def cmd_simulate(args, rc: ResolvedConfig, seed: int):
-    if rc.eps is None:
-        raise ConfigError("eps is required (flag --eps or config key eps)")
+    eps = _eps(rc)
     n = rc.model.n_modes
     w1 = derive_substream(seed, 0, "W1", n)
     w2 = derive_substream(seed, 0, "W2", n)
-    xs, ys = simulate_slow_fast(rc.model, rc.eps, np.zeros(n), np.zeros(n),
+    xs, ys = simulate_slow_fast(rc.model, eps, np.zeros(n), np.zeros(n),
                                 rc.t_final, rc.scheme, w1, w2)
     k_show = min(4, n)
     header = (["t", "x_norm", f"x_hnorm_theta_{rc.theta:g}", "y_norm"]
@@ -152,9 +151,17 @@ def _averaging_params(rc: ResolvedConfig) -> AveragingParams:
 
 
 def _long_burn_params(rc: ResolvedConfig) -> AveragingParams:
-    """The holder and zvonkin estimates' parameters: a fixed burn-in of 16."""
-    return AveragingParams(t_burn=16.0, t_avg=rc.t_avg, dt=rc.dt_frozen,
+    """The holder and zvonkin estimates' parameters: the configured
+    burn-in, else a burn-in of 16."""
+    t_burn = 16.0 if rc.t_burn is None else rc.t_burn
+    return AveragingParams(t_burn=t_burn, t_avg=rc.t_avg, dt=rc.dt_frozen,
                            n_replicas=rc.replicas)
+
+
+def _eps(rc: ResolvedConfig) -> float:
+    if rc.eps is None:
+        raise ConfigError("eps is required (flag --eps or config key eps)")
+    return rc.eps
 
 
 def _n_mc(rc: ResolvedConfig) -> int:
@@ -210,18 +217,17 @@ _LEMMAS = ("contraction", "increments", "aux-fast", "correlation", "moments",
 def cmd_verify(args, rc: ResolvedConfig, seed: int):
     # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
     n_mc = None if args.lemma == "ergodicity" else _n_mc(rc)
-    eps = rc.eps or 1e-2
     model, scheme, theta = rc.model, rc.scheme, rc.theta
     if args.lemma == "contraction":
         report = contraction_test(model, t_checks=(1.0, 2.0, 4.0), dt=0.01,
                                   n_mc=n_mc, seed=seed)
     elif args.lemma == "increments":
         deltas = [2.0**-k for k in range(4, 9)]
-        report = increment_scaling(model, eps, deltas, rc.t_final, scheme,
+        report = increment_scaling(model, _eps(rc), deltas, rc.t_final, scheme,
                                    n_mc, seed, theta=theta)
     elif args.lemma == "aux-fast":
         deltas = [2.0**-k for k in range(4, 9)]
-        report = aux_fast_error(model, eps, deltas, rc.t_final, scheme,
+        report = aux_fast_error(model, _eps(rc), deltas, rc.t_final, scheme,
                                 n_mc, seed, theta=theta)
     elif args.lemma == "correlation":
         report = correlation_decay(model, np.zeros(model.n_modes),

@@ -333,14 +333,16 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     check_idx = {int(round(t / dt)): t for t in t_checks}
 
     stream = derive_substream(seed, 0, "W2", n)
-    step = _frozen_fast(config, dt)
-    x_grid = coeffs_to_grid_values(x, config.m_points)
+    freeze = _frozen_fast(config, dt)
+    step = freeze(coeffs_to_grid_values(x, config.m_points), n_mc)
     ya, yb = np.zeros((n_mc, n)), dy.copy()
     d0 = _norms(dy) ** 2
     ratios = {}
+    z = np.empty((n_mc, n))
     for i in range(1, n_steps + 1):
-        z = stream.standard_normals(n_mc)  # shared by both ensembles
-        ya, yb = step(x_grid, ya, z), step(x_grid, yb, z)
+        stream.standard_normals(n_mc, out=z)  # shared by both ensembles
+        step(ya, z)
+        step(yb, z)
         if i in check_idx:
             ratios[check_idx[i]] = _norms(ya - yb) ** 2 / d0
 
@@ -366,15 +368,18 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
             dx = rng.standard_normal(n)
             dx *= s_off / np.linalg.norm(dx)
             xa, xb = x[0], x[0] + dx
-            ga = coeffs_to_grid_values(np.broadcast_to(xa, (n_mc, n)), config.m_points)
-            gb = coeffs_to_grid_values(np.broadcast_to(xb, (n_mc, n)), config.m_points)
+            step_a, step_b = (
+                freeze(coeffs_to_grid_values(np.broadcast_to(xc, (n_mc, n)),
+                                             config.m_points), n_mc)
+                for xc in (xa, xb))
             wa = derive_substream(seed, 1, "W2", n)
             ya2 = np.zeros((n_mc, n))
             yb2 = np.zeros((n_mc, n))
             acc, count = 0.0, 0
             for i in range(1, n_steps + 1):
-                z = wa.standard_normals(n_mc)
-                ya2, yb2 = step(ga, ya2, z), step(gb, yb2, z)
+                wa.standard_normals(n_mc, out=z)
+                step_a(ya2, z)
+                step_b(yb2, z)
                 if i * dt > 0.5 * t_final:
                     acc += float(np.mean(_norms(ya2 - yb2) ** 2))
                     count += 1
@@ -447,23 +452,25 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     n = config.n_modes
     x = np.asarray(x, dtype=float)
     stream = derive_substream(seed, 0, "corr", n)
-    step = _frozen_fast(config, dt)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (n_mc, n)), config.m_points)
+    step = _frozen_fast(config, dt)(x_grid, n_mc)
     y = np.zeros((n_mc, n))
+    z = np.empty((n_mc, n))
     for _ in range(int(round(t_burn / dt))):
-        y = step(x_grid, y, stream.standard_normals(n_mc))
+        step(y, stream.standard_normals(n_mc, out=z))
 
     # one drift sample every sample_stride steps, the first at the start
     n_keep = int(round(window / (dt * sample_stride)))
     n_steps = (n_keep - 1) * sample_stride
     samples = np.empty((n_keep, n_mc, n))
+    y_grid = np.empty((n_mc, config.m_points))
     for i in range(n_steps + 1):
-        y_grid = coeffs_to_grid_values(y, config.m_points)
+        coeffs_to_grid_values(y, config.m_points, y_grid)
         if i % sample_stride == 0:
-            samples[i // sample_stride] = _drift_coeffs(config.drift_b, x_grid,
-                                                        y_grid, config)
+            samples[i // sample_stride] = _drift_coeffs(step.drift_b(y_grid),
+                                                        config)
         if i < n_steps:
-            y = step(x_grid, y, stream.standard_normals(n_mc), y_grid)
+            step(y, stream.standard_normals(n_mc, out=z), y_grid)
 
     dt_s = dt * sample_stride
     n_lags = min(n_keep - 8, int(round(lag_max / dt_s)))

@@ -96,11 +96,26 @@ class NoiseStream:
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
         self.draws = 0
 
-    def standard_normals(self, n_paths: int | None = None) -> np.ndarray:
-        """One N(0,1) vector per mode; shape (N,) or (n_paths, N)."""
+    def standard_normals(self, n_paths: int | None = None,
+                         block: int | None = None, *,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """One N(0,1) vector per mode; shape (N,) or (n_paths, N).
+
+        ``block=k`` makes k consecutive draws in one call, stacked along
+        a new leading axis of length k: the numbers and their order equal
+        those of k single calls, since the generator fills an array in C
+        order.  ``out`` receives the numbers in place of a new array; it
+        must be C-contiguous float64 of the drawn shape.
+        """
         shape = (self.n_modes,) if n_paths is None else (n_paths, self.n_modes)
-        self.draws += 1
-        return self._gen.standard_normal(shape)
+        if block is not None:
+            shape = (block,) + shape
+        if out is not None and out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, the draw {shape}")
+        self.draws += 1 if block is None else block
+        if out is None:
+            return self._gen.standard_normal(shape)
+        return self._gen.standard_normal(out=out)
 
     def replay(self) -> "NoiseStream":
         """A fresh stream with the same key, rewound to the start."""

@@ -10,7 +10,10 @@ the time-scale separation, never from the linear part or the noise.
 Every loop of the package over the frozen fast equation (the coupled
 substeps, the frozen and auxiliary integrators, the averaged-drift
 estimator and the frozen-dynamics experiments) steps with one private
-stepper, :func:`_frozen_fast`; its drift guard raises
+stepper, :func:`_frozen_fast`, in two stages: ``freeze(x_grid, rows)``
+binds a frozen slow state once (the drifts' x-parts, the noise law and
+the step's buffers), and the returned ``step(y, normals, y_grid=None)``
+overwrites y in place without allocating.  Its drift guard raises
 :class:`IntegrationError` naming the grid point of a non-finite value.
 
 Four integrators are provided:
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -122,35 +126,111 @@ def _finite(vals: np.ndarray, config: ModelConfig, what: str = "drift") -> np.nd
     return vals
 
 
-def _drift_coeffs(drift, x_grid, y_grid, config: ModelConfig) -> np.ndarray:
-    """Pointwise drift on the grid, checked finite, projected to coefficients."""
-    return grid_values_to_coeffs(_finite(drift(x_grid, y_grid), config),
-                                 config.n_modes)
+def _drift_coeffs(vals: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Drift values on the grid, checked finite, projected to coefficients."""
+    return grid_values_to_coeffs(_finite(vals, config), config.n_modes)
+
+
+def _bind(drift, x_grid: np.ndarray, x_parts: dict, vals: np.ndarray):
+    """``drift`` with x frozen, as a callable of y_grid.
+
+    A drift with an ``x_part`` attribute (the protocol of
+    :class:`ModelConfig`) gets that part, computed once per x-part
+    function and shared through ``x_parts``, in place of ``x_grid``
+    (passed as None, so the evaluator does not keep it alive), and
+    writes into ``vals``.  Any other drift is called with the two grids
+    and returns its own array, of whatever broadcast shape, as before.
+    """
+    part = getattr(drift, "x_part", None)
+    if part is None:
+        return partial(drift, x_grid)
+    if part not in x_parts:
+        x_parts[part] = part(x_grid)
+    return partial(drift, None, x_part=x_parts[part], out=vals)
 
 
 def _frozen_fast(config: ModelConfig, h: float):
     """Mild exponential-Euler step of the fast equation, slow argument frozen.
 
-    Returns ``step(x_grid, y, normals, y_grid=None)``: y -> e^{A h}(y +
-    h F(x, y)) + the exact increment of sqrt(Q2) dW2 over fast time h,
-    its law computed once here.  The caller supplies the normals (two
-    ensembles may share a draw) and may pass the grid values of y it
-    already holds.  A closure, not an object, so a substep adds one
-    Python call; a coupled path at small eps makes about 10^5 of them.
+    Returns ``freeze(x_grid, rows)``, which binds one frozen slow state
+    (grid values ``x_grid``) for fields of ``rows`` paths (None: one
+    field of shape (N,)) and returns ``step(y, normals, y_grid=None)``.
+    The step overwrites y with e^{A h}(y + h F(x, y)) + std * normals,
+    the exact increment of sqrt(Q2) dW2 over fast time h, its law
+    computed once here, and returns y.  The caller owns y and supplies
+    the normals (two ensembles may share a draw; they are only read),
+    and may pass the grid values of y it already holds.
+
+    Freezing computes the drifts' x-parts once (see :class:`ModelConfig`)
+    and allocates the buffers the step writes: drift values, projected
+    drift, scaled noise, and the grid values of y on the first call
+    without ``y_grid``.  A step then runs a fixed sequence of ``out=``
+    products and ufuncs and allocates no array (a drift outside the
+    protocol allocates its own values).  ``step.drift_b`` evaluates
+    B(x, y) at given grid values with the same frozen x, in the
+    drift-value buffer (valid until the next step or evaluation).
+    Closures, not objects, so a substep adds one Python call; a coupled
+    path at small eps makes about 10^5 of them.
     """
     decay, std = conv_increment_law(h, config.q2, config.eigs)
+    m, n = config.m_points, config.n_modes
 
-    def step(x_grid, y, normals, y_grid=None):
-        if y_grid is None:
-            y_grid = coeffs_to_grid_values(y, config.m_points)
-        # vals stays referenced through the update: freed before it,
-        # glibc trims and re-faults about 3 MB of heap on every step of
-        # a 3200-row ensemble, about 20 times the page faults
-        vals = _finite(config.drift_f(x_grid, y_grid), config)
-        f = grid_values_to_coeffs(vals, config.n_modes)
-        return decay * (y + h * f) + std * normals
+    def freeze(x_grid: np.ndarray, rows: int | None):
+        lead = () if rows is None else (rows,)
+        full = lead + (m,)
+        drift_values = np.empty(full)
+        coeffs = np.empty(lead + (n,))
+        noise = np.empty(lead + (n,))
+        grid = None
+        x_parts: dict = {}
+        drift_f = _bind(config.drift_f, x_grid, x_parts, drift_values)
 
-    return step
+        def step(y, normals, y_grid=None):
+            nonlocal grid
+            if y_grid is None:
+                if grid is None:
+                    grid = np.empty(full)
+                y_grid = coeffs_to_grid_values(y, m, grid)
+            vals = drift_f(y_grid)
+            # the sum is not finite if a value is not, and otherwise only
+            # on overflow, which the exact check then lets pass; one
+            # reduction costs less than isfinite(vals).all()
+            if not math.isfinite(np.add.reduce(vals, None)):
+                _finite(vals, config)
+            # a plain drift's values of another shape are projected as
+            # they come and broadcast in the update, as before
+            f = grid_values_to_coeffs(vals, n, coeffs if vals.shape == full else None)
+            # the ufuncs and operands of decay * (y + h * f) + std * normals,
+            # so the result is bit-identical to that expression
+            f = np.multiply(f, h, coeffs)
+            y = np.multiply(np.add(y, f, y), decay, y)
+            return np.add(y, np.multiply(std, normals, noise), y)
+
+        step.drift_b = _bind(config.drift_b, x_grid, x_parts, drift_values)
+        return step
+
+    return freeze
+
+
+# Largest number of normals one block draw of the substeps takes (512 KiB).
+_BLOCK_NORMALS = 1 << 16
+
+
+def _substeps(step, y: np.ndarray, w2: NoiseStream, n_paths: int | None,
+              n_sub: int, y_grid: np.ndarray | None = None) -> np.ndarray:
+    """``n_sub`` frozen steps of y in place; the first may reuse ``y_grid``.
+
+    The W2 vectors are drawn in blocks of whole substeps, the macro
+    step's n_sub at once unless that exceeds ``_BLOCK_NORMALS``; a block
+    holds the numbers of as many single draws, in the same order.
+    """
+    per_draw = (1 if n_paths is None else n_paths) * y.shape[-1]
+    chunk = max(1, min(n_sub, _BLOCK_NORMALS // per_draw))
+    for k in range(0, n_sub, chunk):
+        for z in w2.standard_normals(n_paths, min(chunk, n_sub - k)):
+            step(y, z, y_grid)
+            y_grid = None
+    return y
 
 
 class _MacroLaws(NamedTuple):
@@ -159,7 +239,7 @@ class _MacroLaws(NamedTuple):
     dt: float
     slow: tuple[np.ndarray, np.ndarray]  # (decay, std) over dt
     n_sub: int
-    fast: Callable  # one substep, in fast time (see _frozen_fast)
+    freeze_fast: Callable  # the substep, in fast time (see _frozen_fast)
 
 
 def _macro_laws(scheme: StepScheme, eps: float, config: ModelConfig) -> _MacroLaws:
@@ -179,27 +259,27 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
     equation in its own time (time-change identity: stepping (A/eps,
     Q2/eps) over h_f equals stepping (A, Q2) over h_f/eps), with the
     slow argument frozen at the macro-step start.  Draw order per macro
-    step: one W1 vector, then n_sub W2 vectors.  ``laws`` lets a caller
-    that takes many steps at the same (scheme, eps) pass the noise laws
-    computed once; by default they are computed here.
+    step: one W1 vector, then n_sub W2 vectors (in blocks, see
+    :func:`_substeps`).  ``laws`` lets a caller that takes many steps
+    at the same (scheme, eps) pass the noise laws computed once; by
+    default they are computed here.  ``state`` is not modified.
+    ``state.x`` and ``state.y`` must share a shape, as at construction,
+    else :class:`ConfigError`.
     """
+    if state.x.shape != state.y.shape:
+        raise ConfigError("slow and fast fields must share a shape")
     if laws is None:
         laws = _macro_laws(scheme, state.eps, config)
     n_paths = None if state.x.ndim == 1 else state.x.shape[0]
-    dt = laws.dt
     decay1, std1 = laws.slow
     x_grid = coeffs_to_grid_values(state.x, config.m_points)
-
     y_grid = coeffs_to_grid_values(state.y, config.m_points)
-    b = _drift_coeffs(config.drift_b, x_grid, y_grid, config)
-    x_new = decay1 * (state.x + dt * b) + std1 * w1.standard_normals(n_paths)
-
-    y = state.y
-    for _ in range(laws.n_sub):  # the first substep reuses y_grid
-        y = laws.fast(x_grid, y, w2.standard_normals(n_paths), y_grid)
-        y_grid = None
-
-    return SlowFastState(x=x_new, y=y, t=state.t + dt, eps=state.eps)
+    step = laws.freeze_fast(x_grid, n_paths)
+    b = _drift_coeffs(step.drift_b(y_grid), config)
+    x_new = decay1 * (state.x + laws.dt * b) + std1 * w1.standard_normals(n_paths)
+    # the first substep reuses y_grid
+    y = _substeps(step, state.y.copy(), w2, n_paths, laws.n_sub, y_grid)
+    return SlowFastState(x=x_new, y=y, t=state.t + laws.dt, eps=state.eps)
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
@@ -257,18 +337,18 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    y = _check_initial(y0, config)
+    y = _check_initial(y0, config).copy()
     x = _check_initial(x, config)
-    x_grid = coeffs_to_grid_values(x, config.m_points)
     n_paths = None if y.ndim == 1 else y.shape[0]
-    step = _frozen_fast(config, dt)
+    step = _frozen_fast(config, dt)(coeffs_to_grid_values(x, config.m_points),
+                                     n_paths)
     n_steps = _whole_steps(t_final, dt, "t_final")
     times = np.arange(n_steps + 1) * dt
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
+    normals = np.empty(y.shape)
     for i in range(1, n_steps + 1):
-        y = step(x_grid, y, w2.standard_normals(n_paths))
-        ys[i] = y
+        ys[i] = step(y, w2.standard_normals(n_paths, out=normals))
     return Trajectory(times, ys)
 
 
@@ -316,18 +396,17 @@ def simulate_auxiliary_fast(config: ModelConfig, eps: float, slow_traj: Trajecto
     if block < 1:
         raise ConfigError("delta must be a positive multiple of dt_macro")
     n_steps = len(slow_traj) - 1
-    y = _check_initial(y0, config)
+    y = _check_initial(y0, config).copy()
     n_paths = None if y.ndim == 1 else y.shape[0]
     n_sub = scheme.n_substeps(eps)
-    step = _frozen_fast(config, dt / n_sub / eps)
+    freeze = _frozen_fast(config, dt / n_sub / eps)
     times = slow_traj.times
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
-    x_grid = None
+    step = None
     for i in range(n_steps):
         if i % block == 0:
-            x_grid = coeffs_to_grid_values(slow_traj.states[i], config.m_points)
-        for _ in range(n_sub):
-            y = step(x_grid, y, w2.standard_normals(n_paths))
-        ys[i + 1] = y
+            step = freeze(coeffs_to_grid_values(slow_traj.states[i], config.m_points),
+                          n_paths)
+        ys[i + 1] = _substeps(step, y, w2, n_paths, n_sub)
     return Trajectory(times, ys)

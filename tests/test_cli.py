@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,50 @@ class TestDispatch:
                          str(cfg_path), "--n-mc", "10", "--seed", "5",
                          "--out", str(out)]) == 0
         assert sha(out1) == sha(out2)
+
+
+class TestLongBurnAndEps:
+    @pytest.mark.parametrize("cfg_line,argv,t_burn", [
+        ("", ["verify", "--lemma", "holder", "--n-mc", "2", "--Tb", "4"], 4.0),
+        ("t_burn = 4\n", ["verify", "--lemma", "holder", "--n-mc", "2"], 4.0),
+        ("", ["verify", "--lemma", "holder", "--n-mc", "2"], 16.0),
+        ("t_burn = 4\n", ["zvonkin", "--dim", "1", "--grid", "9"], 4.0),
+        ("", ["zvonkin", "--dim", "1", "--grid", "9"], 16.0),
+    ], ids=["holder-Tb", "holder-config", "holder-default", "zvonkin-config",
+            "zvonkin-default"])
+    def test_estimates_use_the_given_burn_in(self, tmp_path, monkeypatch,
+                                             cfg_line, argv, t_burn):
+        # 16 only when neither the config nor --Tb sets t_burn (zvonkin
+        # takes no --Tb flag)
+        from slowfast_spde import averaging, experiments
+
+        seen = []
+        estimate = averaging.estimate_bbar_batch
+
+        def recording(config, xs, params, seed, **kwargs):
+            seen.append(params.t_burn)
+            short = replace(params, t_burn=0.0, t_avg=0.2, dt=0.1)
+            return estimate(config, xs, short, seed, **kwargs)
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", recording)
+        monkeypatch.setattr(experiments, "estimate_bbar_batch", recording)
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED + cfg_line)
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        assert code in (0, 1)
+        assert seen and set(seen) == {t_burn}
+
+    @pytest.mark.parametrize("lemma", ["increments", "aux-fast"])
+    def test_verify_without_eps_is_config_error(self, tmp_path, capsys, lemma):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED.replace("eps = 5e-2\n", ""))
+        out = tmp_path / "report.json"
+        code = main(["verify", "--lemma", lemma, "--config", str(cfg),
+                     "--n-mc", "2", "--out", str(out)])
+        assert code == 2
+        assert ("eps is required (flag --eps or config key eps)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestZvonkinCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast_spde import noise as nz
 from slowfast_spde.spectral import OperatorSpectrum
@@ -113,6 +115,42 @@ class TestStreams:
         emp = draws.var(axis=0, ddof=1)
         se = emp * np.sqrt(2.0 / 49_999)
         assert np.all(np.abs(emp - std**2) <= 4.0 * se)
+
+
+class TestBlockDraw:
+    """A block of k draws is k single draws: the coupled stepper draws a
+    macro step's substep normals at once and relies on this bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**31),
+           role=st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+           n_paths=st.none() | st.integers(1, 6), k=st.integers(1, 64),
+           n_modes=st.integers(1, 9))
+    def test_block_equals_sequential_draws(self, seed, index, role, n_paths, k,
+                                           n_modes):
+        single, block, filled = (nz.NoiseStream(seed, n_modes, index, role)
+                                 for _ in range(3))
+        seq = np.stack([single.standard_normals(n_paths) for _ in range(k)])
+        got = block.standard_normals(n_paths, k)
+        assert got.shape == seq.shape and np.array_equal(got, seq)
+        out = np.full(seq.shape, np.nan)
+        assert filled.standard_normals(n_paths, k, out=out) is out
+        assert np.array_equal(out, seq)
+        # all three streams continue from the same place
+        nxt = single.standard_normals(n_paths)
+        assert np.array_equal(block.standard_normals(n_paths), nxt)
+        one = np.full(nxt.shape, np.nan)
+        assert filled.standard_normals(n_paths, out=one) is one
+        assert np.array_equal(one, nxt)
+        assert single.draws == block.draws == filled.draws == k + 1
+
+    def test_out_of_the_wrong_shape_is_rejected(self):
+        stream = nz.derive_substream(3, 0, "W2", 4)
+        with pytest.raises(ValueError):
+            stream.standard_normals(2, out=np.empty((3, 4)))
+        with pytest.raises(ValueError):
+            stream.standard_normals(2, 5, out=np.empty((2, 4)))
+        assert stream.draws == 0
 
 
 class TestTraceCondition:
