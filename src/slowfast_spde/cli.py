@@ -352,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="1,10,100",
                    help="comma-separated increasing resolvent parameters")
     p.add_argument("--grid", type=int, default=129, help="points per axis")
+    p.add_argument("--Tb", dest="t_burn", type=float, default=None,
+                   help="burn-in time of the averaged-drift estimate")
     p.set_defaults(handler=cmd_zvonkin)
     return parser
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc
 
 from .errors import ConfigError
 from .noise import NoiseSpectrum, power_law_spectrum
@@ -449,6 +447,10 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
             )
 
     theta_max = min(1.0, 1.0 + (pq1 - 1.0) / p_lam) if p_lam > 0 else 0.0
+    # imported here: scipy is most of the package's import time
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammainc
+
     gamma_1mt = float(gamma_fn(1.0 - theta))
 
     def a41_terms(kk):

@@ -51,7 +51,8 @@ import numpy as np
 from .errors import ConfigError, IntegrationError
 from .model import ModelConfig
 from .noise import NoiseStream, conv_increment_law
-from .spectral import coeffs_to_grid_values, grid_points, grid_values_to_coeffs
+from .spectral import (_rows_per_product, _sine_matrices, coeffs_to_grid_values,
+                       grid_points, grid_values_to_coeffs)
 
 __all__ = [
     "StepScheme",
@@ -166,7 +167,13 @@ def _frozen_fast(config: ModelConfig, h: float):
     drift, scaled noise, and the grid values of y on the first call
     without ``y_grid``.  A step then runs a fixed sequence of ``out=``
     products and ufuncs and allocates no array (a drift outside the
-    protocol allocates its own values).  ``step.drift_b`` evaluates
+    protocol allocates its own values).  When ``rows`` paths take one
+    BLAS product per transform (the block rule of :mod:`.spectral`: at
+    most 256 paths at N = 32, M = 64), freezing also binds the cached
+    sine matrices, and the step multiplies its buffers by them with
+    ``np.dot``, without the public transforms' checks; above that, and
+    for drift values that are not the step's buffer, it calls the public
+    transforms.  Both give the same bits.  ``step.drift_b`` evaluates
     B(x, y) at given grid values with the same frozen x, in the
     drift-value buffer (valid until the next step or evaluation).
     Closures, not objects, so a substep adds one Python call; a coupled
@@ -184,22 +191,31 @@ def _frozen_fast(config: ModelConfig, h: float):
         grid = None
         x_parts: dict = {}
         drift_f = _bind(config.drift_f, x_grid, x_parts, drift_values)
+        # one BLAS product per transform at this row count: the public
+        # transforms' checks would cost about 5 us of a 15 us one-path step
+        bound = (1 if rows is None else rows) <= _rows_per_product(n, m)
+        evaluate, project = _sine_matrices(n, m) if bound else (None, None)
 
         def step(y, normals, y_grid=None):
             nonlocal grid
             if y_grid is None:
                 if grid is None:
                     grid = np.empty(full)
-                y_grid = coeffs_to_grid_values(y, m, grid)
+                y_grid = (np.dot(y, evaluate, grid) if bound
+                          else coeffs_to_grid_values(y, m, grid))
             vals = drift_f(y_grid)
             # the sum is not finite if a value is not, and otherwise only
             # on overflow, which the exact check then lets pass; one
             # reduction costs less than isfinite(vals).all()
             if not math.isfinite(np.add.reduce(vals, None)):
                 _finite(vals, config)
-            # a plain drift's values of another shape are projected as
-            # they come and broadcast in the update, as before
-            f = grid_values_to_coeffs(vals, n, coeffs if vals.shape == full else None)
+            if bound and vals is drift_values:
+                f = np.dot(vals, project, coeffs)
+            else:
+                # a plain drift's values of another shape are projected as
+                # they come and broadcast in the update, as before
+                f = grid_values_to_coeffs(vals, n,
+                                          coeffs if vals.shape == full else None)
             # the ufuncs and operands of decay * (y + h * f) + std * normals,
             # so the result is bit-identical to that expression
             f = np.multiply(f, h, coeffs)

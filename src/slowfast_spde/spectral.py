@@ -20,7 +20,12 @@ in a small bounded cache, and never built at import.  Batches are
 multiplied in row blocks of at most 2^19 multiply-adds, because
 OpenBLAS hands a product of about 2^20 or more to a second thread: on
 two CPUs that thread spins, so CPU time rises faster than wall time
-falls.  The dense pair is 3-50x faster than a type-I DST up to N = 128
+falls.  A batch within one block is one ``np.dot`` call, bit-identical
+to the ``np.matmul`` it replaced (checked on 1-D vectors and on 1-300
+rows at N = 32, M = 64) and without the ufunc machinery.  The
+frozen-fast stepper decides the rule once per frozen state, from its
+row count, and below it calls ``np.dot`` on the bound matrices itself.
+The dense pair is 3-50x faster than a type-I DST up to N = 128
 (M = 2N), within 1.5x of it at N = 256 and 3.5-180x slower at N = 512,
 so ``ModelConfig`` rejects models with N*M > MAX_TRANSFORM_SIZE = 2^17
 (N = 256 at M = 2N); the cached matrices of one (N, M) then hold at
@@ -188,24 +193,30 @@ def _sine_matrices(n_modes: int, m_points: int) -> tuple[np.ndarray, np.ndarray]
     return evaluate, project
 
 
+def _rows_per_product(n_in: int, n_out: int) -> int:
+    """The block rule: the most rows of an (n_in, n_out) product that go
+    to BLAS in one call (at least one)."""
+    return max(1, _BLOCK_MADDS // (n_in * n_out))
+
+
 def _apply(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """``a @ matrix`` over the last axis, in single-threaded row blocks,
     into ``out`` (C-contiguous, shape ``a.shape[:-1] + (n_out,)``) if given."""
     n_in, n_out = matrix.shape
-    block = max(1, _BLOCK_MADDS // (n_in * n_out))
+    block = _rows_per_product(n_in, n_out)
     rows = a.reshape(-1, n_in)
     if out is None:
         if rows.shape[0] <= block:
             # one product without the output buffer and slicing: the block
             # loop alone cost about 1 us more per call at one row, 8-10% of
             # a coupled path (about 10^5 single-row transforms)
-            return (rows @ matrix).reshape(a.shape[:-1] + (n_out,))
+            return np.dot(rows, matrix).reshape(a.shape[:-1] + (n_out,))
         out = np.empty(a.shape[:-1] + (n_out,))
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     flat = out.reshape(-1, n_out)
     if rows.shape[0] <= block:
-        np.matmul(rows, matrix, flat)  # positional out: 0.3 us less than out=
+        np.dot(rows, matrix, flat)
     else:
         for i in range(0, rows.shape[0], block):
             np.matmul(rows[i:i + block], matrix, flat[i:i + block])

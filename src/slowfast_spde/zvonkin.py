@@ -44,12 +44,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, PicardDivergenceError
 from .model import _log_quadrature_nodes
+
+if TYPE_CHECKING:
+    from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "OuKernel",
@@ -145,6 +148,9 @@ class TruncatedFunction:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         if self._interp is None:
+            # imported here: scipy is most of the package's import time
+            from scipy.interpolate import RegularGridInterpolator
+
             self._interp = RegularGridInterpolator(
                 self.axes, self.values, method="linear", bounds_error=False)
         pts = np.asarray(points, dtype=float)

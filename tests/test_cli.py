@@ -355,9 +355,11 @@ class TestDispatch:
          "--grid", "flags", "grid", [("9", 9), ("17", 17)]),
         (["zvonkin", "--grid", "9"],
          "--lambda", "flags", "lam", [("1,10", "1,10"), ("2,10", "2,10")]),
+        (["zvonkin", "--grid", "9", "--lambda", "1,10"],
+         "--Tb", "config", "t_burn", [("4", 4.0), ("2", 2.0)]),
         (["check"], "--kappa1", "flags", "kappa1", [("0.5", 0.5), ("0.75", 0.75)]),
     ], ids=["average-Ta", "converge-n-mc", "verify-eps", "zvonkin-grid",
-            "zvonkin-lambda", "check-kappa1"])
+            "zvonkin-lambda", "zvonkin-Tb", "check-kappa1"])
     def test_manifest_records_the_flag(self, cfg_path, tmp_path, argv, flag,
                                        section, key, runs):
         # two runs that differ in one flag write manifests that differ in it
@@ -403,12 +405,12 @@ class TestLongBurnAndEps:
         ("", ["verify", "--lemma", "holder", "--n-mc", "2"], 16.0),
         ("t_burn = 4\n", ["zvonkin", "--dim", "1", "--grid", "9"], 4.0),
         ("", ["zvonkin", "--dim", "1", "--grid", "9"], 16.0),
+        ("", ["zvonkin", "--dim", "1", "--grid", "9", "--Tb", "4"], 4.0),
     ], ids=["holder-Tb", "holder-config", "holder-default", "zvonkin-config",
-            "zvonkin-default"])
+            "zvonkin-default", "zvonkin-Tb"])
     def test_estimates_use_the_given_burn_in(self, tmp_path, monkeypatch,
                                              cfg_line, argv, t_burn):
-        # 16 only when neither the config nor --Tb sets t_burn (zvonkin
-        # takes no --Tb flag)
+        # 16 only when neither the config nor --Tb sets t_burn
         from slowfast_spde import averaging, experiments
 
         seen = []
@@ -512,3 +514,36 @@ class TestZvonkinCommand:
         assert data["residual"] < 1e-2
         header = out.read_text().splitlines()[0]
         assert header.split(",")[:2] == ["x_1", "u_1"]
+
+
+def test_simulate_runs_without_importing_scipy(tmp_path):
+    # scipy is imported only by the assumption checker and the Zvonkin
+    # interpolator, so the package, the CLI and a coupled run load none of it
+    import subprocess
+    import sys
+
+    import slowfast_spde
+
+    script = f"""
+import sys
+import slowfast_spde, slowfast_spde.cli
+from slowfast_spde.config import parse_config
+from slowfast_spde.model import heat_example
+heat_example(0.1, 0.1, 8)
+parse_config({str(Path(__file__).parents[1] / "configs" / "heat.cfg")!r})
+code = slowfast_spde.cli.main(["simulate", "--config", sys.argv[1], "--T", "0.002",
+                               "--out", sys.argv[2]])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(SECTIONED)
+    src = str(Path(slowfast_spde.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg),
+                           str(tmp_path / "path.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "path.csv").exists()

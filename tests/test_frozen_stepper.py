@@ -12,11 +12,13 @@ from slowfast_spde.averaging import AveragingParams, estimate_bbar_batch
 from slowfast_spde.errors import ConfigError
 from slowfast_spde.experiments import contraction_test
 from slowfast_spde.model import heat_example
-from slowfast_spde.noise import derive_substream
+from slowfast_spde.noise import conv_increment_law, derive_substream
 from slowfast_spde.simulate import (SlowFastState, StepScheme, _frozen_fast,
                                     simulate_auxiliary_fast, simulate_frozen,
                                     simulate_slow_fast, step_slow_fast)
-from slowfast_spde.spectral import coeffs_to_grid_values
+from slowfast_spde import simulate
+from slowfast_spde.spectral import (_rows_per_product, coeffs_to_grid_values,
+                                    grid_values_to_coeffs)
 
 PARAMS = AveragingParams(t_burn=0.2, t_avg=0.3, dt=0.02, n_replicas=2)
 N_BURN, N_AVG = 10, 15  # PARAMS in steps
@@ -199,8 +201,73 @@ class TestPlainDrifts:
         assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
 
+class TestBoundProducts:
+    """At most 256 paths of N = 32, M = 64 (one BLAS product per transform)
+    the step multiplies by the sine matrices bound at freeze; above that it
+    calls the public transforms.  Either way the numbers are those of the
+    public transforms and ``decay * (y + h * f) + std * z``, bit for bit."""
+
+    H = 0.02
+
+    def reference_steps(self, cfg, x_grid, y, zs):
+        decay, std = conv_increment_law(self.H, cfg.q2, cfg.eigs)
+        for z in zs:
+            y_grid = coeffs_to_grid_values(y, cfg.m_points)
+            f = grid_values_to_coeffs(cfg.drift_f(x_grid, y_grid), cfg.n_modes)
+            y = decay * (y + self.H * f) + std * z
+        return y
+
+    def public_calls(self, monkeypatch):
+        calls = []
+        for name in ("coeffs_to_grid_values", "grid_values_to_coeffs"):
+            def counting(*args, _public=getattr(simulate, name), **kwargs):
+                calls.append(None)
+                return _public(*args, **kwargs)
+            monkeypatch.setattr(simulate, name, counting)
+        return calls
+
+    def test_256_rows_is_the_last_single_product(self, heat32):
+        assert _rows_per_product(heat32.n_modes, heat32.m_points) == 256
+
+    @pytest.mark.parametrize("rows,bound", [(None, True), (1, True), (256, True),
+                                            (257, False), (400, False)])
+    def test_steps_match_the_public_transforms(self, heat32, monkeypatch, rows,
+                                               bound):
+        rng = np.random.default_rng(53)
+        shape = (32,) if rows is None else (rows, 32)
+        scale = np.arange(1, 33)
+        x_grid = coeffs_to_grid_values(rng.standard_normal(shape) / scale, 64)
+        y0 = rng.standard_normal(shape) / scale
+        zs = rng.standard_normal((4,) + shape)
+        ref = self.reference_steps(heat32, x_grid, y0, zs)
+        calls = self.public_calls(monkeypatch)
+        step = _frozen_fast(heat32, self.H)(x_grid, rows)
+        y = y0.copy()
+        for z in zs:
+            assert step(y, z) is y
+        assert np.array_equal(y, ref)
+        assert len(calls) == (0 if bound else 2 * len(zs))
+
+    def test_values_of_a_broadcast_shape_take_the_public_path(self, heat,
+                                                             fields, monkeypatch):
+        def f_one_row(x_grid, y_grid):
+            return np.cos(np.sqrt(np.abs(x_grid)))
+
+        cfg = replace(heat, drift_f=f_one_row)
+        x_grid = coeffs_to_grid_values(fields(8), heat.m_points)
+        y0, zs = fields(4, 8), fields(3, 4, 8)
+        ref = self.reference_steps(cfg, x_grid, y0, zs)
+        calls = self.public_calls(monkeypatch)
+        step = _frozen_fast(cfg, self.H)(x_grid, 4)
+        y = y0.copy()
+        for z in zs:
+            step(y, z)
+        assert np.array_equal(y, ref)
+        assert len(calls) == len(zs)  # the projection of the one row
+
+
 class TestNoAllocationPerStep:
-    @pytest.mark.parametrize("rows", [None, 4096])
+    @pytest.mark.parametrize("rows", [None, 1, 4096])
     def test_step_allocates_no_array(self, heat, fields, rows):
         # At 4096 paths one field is 256 KiB.  Besides a few small objects,
         # tracemalloc sees only numpy's iteration buffer for the per-mode

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.model import heat_example
@@ -162,17 +164,31 @@ class TestCouplingAndDeterminism:
 
     def test_macro_step_transforms_each_state_once(self, heat, monkeypatch):
         # x and each of the n_sub fast states go to the grid once: the
-        # first substep reuses the grid values the slow drift used
+        # first substep reuses the grid values the slow drift used.  A
+        # transform is a call of the public function or, in a frozen step
+        # that binds the sine matrices, a product with the bound
+        # evaluation matrix; both are counted.
         from slowfast_spde import simulate
 
         calls = []
         to_grid = simulate.coeffs_to_grid_values
+        sine_matrices = simulate._sine_matrices
 
         def counting(*args):
             calls.append(None)
             return to_grid(*args)
 
+        class CountingMatrix(np.ndarray):
+            def __array_function__(self, func, types, args, kwargs):
+                calls.append(None)
+                return super().__array_function__(func, types, args, kwargs)
+
+        def counting_matrices(n, m):
+            evaluate, project = sine_matrices(n, m)
+            return evaluate.view(CountingMatrix), project
+
         monkeypatch.setattr(simulate, "coeffs_to_grid_values", counting)
+        monkeypatch.setattr(simulate, "_sine_matrices", counting_matrices)
         scheme = StepScheme(1e-2)
         w1, w2 = streams(8, seed=13)
         state = SlowFastState(x=np.zeros(8), y=np.zeros(8), t=0.0, eps=1e-2)
@@ -356,3 +372,48 @@ class TestValidationAndBounds:
         hn2 = np.mean(np.sum(lam * xs.states[1:] ** 2, axis=-1), axis=1)
         prod = xs.times[1:] ** theta * hn2
         assert np.max(prod) < 3.0
+
+
+class TestSplitHorizon:
+    """[0, T] in one call equals [0, T1] then [T1, T] on the same stream
+    objects, bit for bit: the stepper carries nothing from one call to
+    the next but the state and the streams."""
+
+    DT = 1e-2
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_paths=st.sampled_from([None, 3]), n1=st.integers(0, 3),
+           n2=st.integers(0, 3), eps=st.sampled_from([1e-2, 2e-2, 5e-2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coupled(self, heat, n_paths, n1, n2, eps, seed):
+        scheme = StepScheme(self.DT)
+        assert scheme.n_substeps(eps) > 1
+        shape = (8,) if n_paths is None else (n_paths, 8)
+        rng = np.random.default_rng(seed)
+        x0, y0 = rng.standard_normal(shape), rng.standard_normal(shape)
+        whole = simulate_slow_fast(heat, eps, x0, y0, (n1 + n2) * self.DT, scheme,
+                                   *streams(8, seed))
+        w1, w2 = streams(8, seed)
+        first = simulate_slow_fast(heat, eps, x0, y0, n1 * self.DT, scheme, w1, w2)
+        second = simulate_slow_fast(heat, eps, first[0].states[-1],
+                                    first[1].states[-1], n2 * self.DT, scheme, w1, w2)
+        for w, a, b in zip(whole, first, second):
+            assert np.array_equal(w.states, np.concatenate([a.states, b.states[1:]]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_paths=st.sampled_from([None, 3]), n1=st.integers(0, 4),
+           n2=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_averaged(self, heat, n_paths, n1, n2, seed):
+        def bbar(x):
+            return np.sin(x) - 0.5 * x
+
+        shape = (8,) if n_paths is None else (n_paths, 8)
+        x0 = np.random.default_rng(seed).standard_normal(shape)
+        whole = simulate_averaged(heat, x0, (n1 + n2) * self.DT, self.DT,
+                                  streams(8, seed)[0], bbar)
+        w1 = streams(8, seed)[0]
+        first = simulate_averaged(heat, x0, n1 * self.DT, self.DT, w1, bbar)
+        second = simulate_averaged(heat, first.states[-1], n2 * self.DT, self.DT,
+                                   w1, bbar)
+        assert np.array_equal(whole.states,
+                              np.concatenate([first.states, second.states[1:]]))

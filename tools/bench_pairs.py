@@ -4,8 +4,8 @@
         [--workload NAME ...]
 
 Both sides run from sibling directories of one temporary directory, so
-that where a tree lies on disk favours neither: ``parent``, a
-``git worktree`` of REV, and ``change``, a copy of this checkout's
+that where a tree lies on disk favours neither: ``parent``, the files
+of REV unpacked from ``git archive``, and ``change``, a copy of this checkout's
 tracked and untracked, not ignored files as they stand (the change may
 be uncommitted edits on top of a commit).  For every workload it makes
 ``--pairs`` pairs of ``bench/run.py`` runs of ``run_seconds`` (from
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -41,6 +42,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -80,6 +82,15 @@ def parse_args(argv):
 def git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def unpack_revision(rev: str, dest: Path) -> None:
+    """Write the files of ``rev`` to ``dest``, leaving the repository's
+    own metadata alone (no worktree to register or remove)."""
+    tree = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def copy_checkout(dest: Path) -> None:
@@ -175,7 +186,7 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_dir, change_dir = work / "parent", work / "change"
     try:
-        git("worktree", "add", "--detach", str(parent_dir), parent_rev)
+        unpack_revision(parent_rev, parent_dir)
         copy_checkout(change_dir)
         result = {
             "parent": parent_rev, "parent_dir": str(parent_dir),
@@ -213,7 +224,6 @@ def main(argv=None) -> int:
             k: fp_parent[k] is not None and fp_parent[k] == fp_change.get(k)
             for k in fp_parent}
     finally:
-        git("worktree", "remove", "--force", str(parent_dir))
         shutil.rmtree(work, ignore_errors=True)
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
