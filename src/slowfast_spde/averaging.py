@@ -4,7 +4,7 @@ The effective drift of the slow equation at a point x is the average
 of B(x, .) against the invariant law of the fast equation frozen at x.
 Under the spectral-gap condition lambda_1 - L_F > 0 that law is unique
 and mixing is exponential, so a single long trajectory after burn-in
-estimates the average (default strategy), with independent replicas
+estimates the average, with independent replicas
 supplying error bars.  The burn-in default is derived from the mixing
 bound: bias below ``bias_tol`` requires
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class AveragingParams:
     t_avg: float
     dt: float = 0.02
     n_replicas: int = 4
-    strategy: str = "time-average"  # or "ensemble-at-horizon"
+    # Read-only: the averages are time averages along each replica.  Kept
+    # as a constant because the benchmark's tracer reads it to count steps.
+    strategy: ClassVar[str] = "time-average"
 
     def __post_init__(self):
         if not 0.0 <= self.t_burn < math.inf:
@@ -59,13 +62,11 @@ class AveragingParams:
                                   f"got {getattr(self, name)}")
         if self.n_replicas < 2:
             raise ConfigError("need at least 2 replicas for an error bar")
-        if self.strategy not in ("time-average", "ensemble-at-horizon"):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
     @classmethod
     def for_model(cls, config: ModelConfig, bias_tol: float = 1e-3,
                   t_avg: float = 40.0, dt: float = 0.02, n_replicas: int = 4,
-                  strategy: str = "time-average") -> "AveragingParams":
+                  ) -> "AveragingParams":
         """Burn-in from the exponential-mixing bound at target bias."""
         gap = config.spectral_gap
         if gap <= 0:
@@ -73,8 +74,7 @@ class AveragingParams:
                 f"spectral gap lambda_1 - L_F = {gap:g} is not positive"
             )
         t_burn = 2.0 / (gap * config.beta) * math.log(1.0 / bias_tol)
-        return cls(t_burn=t_burn, t_avg=t_avg, dt=dt, n_replicas=n_replicas,
-                   strategy=strategy)
+        return cls(t_burn=t_burn, t_avg=t_avg, dt=dt, n_replicas=n_replicas)
 
 
 @dataclass(frozen=True)
@@ -134,23 +134,16 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     step = _frozen_fast(config, params.dt)(
         coeffs_to_grid_values(np.repeat(xs, reps, axis=0), m), big)
     n_burn = int(round(params.t_burn / params.dt))
-    # ensemble-at-horizon: one sample per replica, at the end of the burn-in
-    n_avg = (max(1, int(round(params.t_avg / params.dt)))
-             if params.strategy == "time-average" else 1)
+    n_avg = max(1, int(round(params.t_avg / params.dt)))
 
     # States 0 .. n_burn + n_avg - 1 with one step between neighbours; the
     # last n_avg are sampled.  Projection is linear, so the drift is
     # averaged on the grid and projected once; NaN and inf survive the sum,
     # so one check after the loop rejects a non-finite value on any sample.
     b_grid = np.zeros((big, m))
-    y_grid = np.empty((big, m))
-    normals = np.empty((big, n))
-    for i in range(n_burn + n_avg):
-        coeffs_to_grid_values(y, m, y_grid)
+    for i, y_grid in enumerate(step.states(y, stream, n_burn + n_avg - 1)):
         if i >= n_burn:
             b_grid += step.drift_b(y_grid)
-        if i + 1 < n_burn + n_avg:
-            step(y, stream.standard_normals(big, out=normals), y_grid)
     b_grid /= n_avg
     per_replica = grid_values_to_coeffs(_finite(b_grid, config, "slow drift"),
                                         n).reshape(n_p, reps, n)
@@ -288,20 +281,11 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     track_mean = np.empty((n_steps + 1, 2 * k))
     track_sq = np.empty((n_steps + 1, 2 * k))
 
-    y_grid = np.empty((reps, config.m_points))
-    normals = np.empty((reps, n))
-
-    def record(i, y):
-        coeffs_to_grid_values(y, config.m_points, y_grid)
+    for i, y_grid in enumerate(step.states(y, stream, n_steps)):
         b = _drift_coeffs(step.drift_b(y_grid), config)
         phi = np.concatenate([y[:, :k], b[:, :k]], axis=1)
         track_mean[i] = phi.mean(axis=0)
         track_sq[i] = (phi**2).mean(axis=0)
-
-    record(0, y)
-    for i in range(1, n_steps + 1):
-        step(y, stream.standard_normals(reps, out=normals), y_grid)
-        record(i, y)
 
     times = np.arange(n_steps + 1) * dt
     var = np.maximum(track_sq - track_mean**2, 0.0) * reps / max(reps - 1, 1)

@@ -455,22 +455,17 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (n_mc, n)), config.m_points)
     step = _frozen_fast(config, dt)(x_grid, n_mc)
     y = np.zeros((n_mc, n))
-    z = np.empty((n_mc, n))
-    for _ in range(int(round(t_burn / dt))):
-        step(y, stream.standard_normals(n_mc, out=z))
+    for _ in step.states(y, stream, int(round(t_burn / dt))):
+        pass
 
     # one drift sample every sample_stride steps, the first at the start
     n_keep = int(round(window / (dt * sample_stride)))
     n_steps = (n_keep - 1) * sample_stride
     samples = np.empty((n_keep, n_mc, n))
-    y_grid = np.empty((n_mc, config.m_points))
-    for i in range(n_steps + 1):
-        coeffs_to_grid_values(y, config.m_points, y_grid)
+    for i, y_grid in enumerate(step.states(y, stream, n_steps)):
         if i % sample_stride == 0:
             samples[i // sample_stride] = _drift_coeffs(step.drift_b(y_grid),
                                                         config)
-        if i < n_steps:
-            step(y, stream.standard_normals(n_mc, out=z), y_grid)
 
     dt_s = dt * sample_stride
     n_lags = min(n_keep - 8, int(round(lag_max / dt_s)))

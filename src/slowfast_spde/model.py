@@ -566,13 +566,20 @@ def low_mode_pair_sampler(n_modes: int, active_modes: int = 8,
     return sample
 
 
+def _on_grid(f: DriftFn, x_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
+    """f's values at grid values x, y, broadcast to their shape (a drift
+    may return one row, or a constant)."""
+    return np.broadcast_to(f(x_grid, y_grid), x_grid.shape)
+
+
 def _sampled_sup(f: DriftFn, n_pairs: int, sampler, m_points: int,
                  seed: int) -> float:
     """Max |f| on the grid over the fields :func:`empirical_holder` draws
     with the same seed; NaN if f returns a NaN anywhere."""
     fields = sampler(np.random.default_rng(seed), n_pairs)
     x1, y1, x2, y2 = (coeffs_to_grid_values(c, m_points) for c in fields)
-    return float(max(np.max(np.abs(f(x1, y1))), np.max(np.abs(f(x2, y2)))))
+    return float(max(np.max(np.abs(_on_grid(f, x1, y1))),
+                     np.max(np.abs(_on_grid(f, x2, y2)))))
 
 
 def empirical_holder(f: DriftFn, alpha: float, beta: float, n_pairs: int,
@@ -591,7 +598,7 @@ def empirical_holder(f: DriftFn, alpha: float, beta: float, n_pairs: int,
 
     def g(c):
         return coeffs_to_grid_values(c, m_points)
-    df = f(g(x1), g(y1)) - f(g(x2), g(y2))
+    df = _on_grid(f, g(x1), g(y1)) - _on_grid(f, g(x2), g(y2))
     w = PI / (m_points + 1)
     num = np.sqrt(w * np.sum(df**2, axis=-1))
     den = (np.linalg.norm(x1 - x2, axis=-1) ** alpha

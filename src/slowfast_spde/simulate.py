@@ -11,10 +11,12 @@ Every loop of the package over the frozen fast equation (the coupled
 substeps, the frozen and auxiliary integrators, the averaged-drift
 estimator and the frozen-dynamics experiments) steps with one private
 stepper, :func:`_frozen_fast`, in two stages: ``freeze(x_grid, rows)``
-binds a frozen slow state once (the drifts' x-parts, the noise law and
-the step's buffers), and the returned ``step(y, normals, y_grid=None)``
-overwrites y in place without allocating.  Its drift guard raises
-:class:`IntegrationError` naming the grid point of a non-finite value.
+binds a frozen slow state once (the drifts' x-parts, the noise law, the
+step's buffers and its sine products), and the returned
+``step(y, normals, y_grid=None)`` overwrites y in place without
+allocating; ``step.states`` runs it over a noise stream.  Its drift
+guard raises :class:`IntegrationError` naming the grid point of a
+non-finite value.
 
 Four integrators are provided:
 
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import ConfigError, IntegrationError
 from .model import ModelConfig
 from .noise import NoiseStream, conv_increment_law
-from .spectral import (_rows_per_product, _sine_matrices, coeffs_to_grid_values,
+from .spectral import (_product, _sine_matrices, coeffs_to_grid_values,
                        grid_points, grid_values_to_coeffs)
 
 __all__ = [
@@ -133,18 +135,22 @@ def _drift_coeffs(vals: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def _bind(drift, x_grid: np.ndarray, x_parts: dict, vals: np.ndarray):
-    """``drift`` with x frozen, as a callable of y_grid.
+    """``drift`` with x frozen, as a callable of y_grid returning ``vals``.
 
     A drift with an ``x_part`` attribute (the protocol of
     :class:`ModelConfig`) gets that part, computed once per x-part
     function and shared through ``x_parts``, in place of ``x_grid``
     (passed as None, so the evaluator does not keep it alive), and
-    writes into ``vals``.  Any other drift is called with the two grids
-    and returns its own array, of whatever broadcast shape, as before.
+    writes into ``vals``.  Any other drift is called with the two grids,
+    and its values, of any shape that broadcasts to ``vals`` (a constant
+    included), are copied into ``vals``.
     """
     part = getattr(drift, "x_part", None)
     if part is None:
-        return partial(drift, x_grid)
+        def bound(y_grid):
+            np.copyto(vals, drift(x_grid, y_grid))
+            return vals
+        return bound
     if part not in x_parts:
         x_parts[part] = part(x_grid)
     return partial(drift, None, x_part=x_parts[part], out=vals)
@@ -162,67 +168,63 @@ def _frozen_fast(config: ModelConfig, h: float):
     the normals (two ensembles may share a draw; they are only read),
     and may pass the grid values of y it already holds.
 
-    Freezing computes the drifts' x-parts once (see :class:`ModelConfig`)
-    and allocates the buffers the step writes: drift values, projected
-    drift, scaled noise, and the grid values of y on the first call
-    without ``y_grid``.  A step then runs a fixed sequence of ``out=``
+    Freezing computes the drifts' x-parts once (see :class:`ModelConfig`),
+    allocates the buffers the step writes (drift values, grid values of
+    y, projected drift, scaled noise) and binds the two sine products of
+    :func:`.spectral._product` for this row count, the only place that
+    knows the block rule.  A step then runs a fixed sequence of ``out=``
     products and ufuncs and allocates no array (a drift outside the
-    protocol allocates its own values).  When ``rows`` paths take one
-    BLAS product per transform (the block rule of :mod:`.spectral`: at
-    most 256 paths at N = 32, M = 64), freezing also binds the cached
-    sine matrices, and the step multiplies its buffers by them with
-    ``np.dot``, without the public transforms' checks; above that, and
-    for drift values that are not the step's buffer, it calls the public
-    transforms.  Both give the same bits.  ``step.drift_b`` evaluates
-    B(x, y) at given grid values with the same frozen x, in the
-    drift-value buffer (valid until the next step or evaluation).
-    Closures, not objects, so a substep adds one Python call; a coupled
-    path at small eps makes about 10^5 of them.
+    protocol allocates its own values, which are copied into the buffer).
+    ``step.drift_b`` evaluates B(x, y) at given grid values with the
+    same frozen x, into the drift-value buffer (valid until the next
+    step or evaluation).  ``step.states(y, stream, n_steps)`` yields the
+    grid values of y at states 0..n_steps (the grid buffer, valid until
+    the next state), stepping y in place on one ``stream`` draw between
+    them.  Closures, not objects, so a substep adds one Python call; a
+    coupled path at small eps makes about 10^5 of them.  A frozen state
+    holds no reference cycle, so dropping the step frees its buffers.
     """
     decay, std = conv_increment_law(h, config.q2, config.eigs)
     m, n = config.m_points, config.n_modes
+    evaluate, project = _sine_matrices(n, m)
 
     def freeze(x_grid: np.ndarray, rows: int | None):
         lead = () if rows is None else (rows,)
-        full = lead + (m,)
-        drift_values = np.empty(full)
+        drift_values = np.empty(lead + (m,))
+        grid = np.empty(lead + (m,))
         coeffs = np.empty(lead + (n,))
         noise = np.empty(lead + (n,))
-        grid = None
+        to_grid, to_coeffs = _product(evaluate, rows), _product(project, rows)
         x_parts: dict = {}
         drift_f = _bind(config.drift_f, x_grid, x_parts, drift_values)
-        # one BLAS product per transform at this row count: the public
-        # transforms' checks would cost about 5 us of a 15 us one-path step
-        bound = (1 if rows is None else rows) <= _rows_per_product(n, m)
-        evaluate, project = _sine_matrices(n, m) if bound else (None, None)
 
-        def step(y, normals, y_grid=None):
-            nonlocal grid
-            if y_grid is None:
-                if grid is None:
-                    grid = np.empty(full)
-                y_grid = (np.dot(y, evaluate, grid) if bound
-                          else coeffs_to_grid_values(y, m, grid))
-            vals = drift_f(y_grid)
+        def advance(y, normals, y_grid=None):
+            vals = drift_f(to_grid(y, grid) if y_grid is None else y_grid)
             # the sum is not finite if a value is not, and otherwise only
             # on overflow, which the exact check then lets pass; one
             # reduction costs less than isfinite(vals).all()
             if not math.isfinite(np.add.reduce(vals, None)):
                 _finite(vals, config)
-            if bound and vals is drift_values:
-                f = np.dot(vals, project, coeffs)
-            else:
-                # a plain drift's values of another shape are projected as
-                # they come and broadcast in the update, as before
-                f = grid_values_to_coeffs(vals, n,
-                                          coeffs if vals.shape == full else None)
             # the ufuncs and operands of decay * (y + h * f) + std * normals,
             # so the result is bit-identical to that expression
-            f = np.multiply(f, h, coeffs)
+            f = np.multiply(to_coeffs(vals, coeffs), h, coeffs)
             y = np.multiply(np.add(y, f, y), decay, y)
             return np.add(y, np.multiply(std, normals, noise), y)
 
+        def states(y, stream: NoiseStream, n_steps: int):
+            normals = np.empty(lead + (n,))
+            yield to_grid(y, grid)
+            for _ in range(n_steps):
+                advance(y, stream.standard_normals(rows, out=normals), grid)
+                yield to_grid(y, grid)
+
+        # the attributes hang on a partial, not on ``advance``, which
+        # ``states`` refers to: no reference cycle, so a frozen state's
+        # buffers are freed as soon as the caller drops the step, not at
+        # the next cyclic collection
+        step = partial(advance)
         step.drift_b = _bind(config.drift_b, x_grid, x_parts, drift_values)
+        step.states = states
         return step
 
     return freeze
@@ -359,13 +361,10 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     step = _frozen_fast(config, dt)(coeffs_to_grid_values(x, config.m_points),
                                      n_paths)
     n_steps = _whole_steps(t_final, dt, "t_final")
-    times = np.arange(n_steps + 1) * dt
     ys = np.empty((n_steps + 1,) + y.shape)
-    ys[0] = y
-    normals = np.empty(y.shape)
-    for i in range(1, n_steps + 1):
-        ys[i] = step(y, w2.standard_normals(n_paths, out=normals))
-    return Trajectory(times, ys)
+    for i, _ in enumerate(step.states(y, w2, n_steps)):
+        ys[i] = y
+    return Trajectory(np.arange(n_steps + 1) * dt, ys)
 
 
 def simulate_averaged(config: ModelConfig, x0, t_final: float, dt: float,

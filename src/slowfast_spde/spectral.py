@@ -22,9 +22,11 @@ OpenBLAS hands a product of about 2^20 or more to a second thread: on
 two CPUs that thread spins, so CPU time rises faster than wall time
 falls.  A batch within one block is one ``np.dot`` call, bit-identical
 to the ``np.matmul`` it replaced (checked on 1-D vectors and on 1-300
-rows at N = 32, M = 64) and without the ufunc machinery.  The
-frozen-fast stepper decides the rule once per frozen state, from its
-row count, and below it calls ``np.dot`` on the bound matrices itself.
+rows at N = 32, M = 64) and without the ufunc machinery.  The product
+factory ``_product(matrix, rows)`` is the only place that knows this
+rule: the public transforms build one per call, and the frozen-fast
+stepper binds one per direction when it freezes a slow state, for every
+row count, so its steps skip the transforms' checks and reshapes.
 The dense pair is 3-50x faster than a type-I DST up to N = 128
 (M = 2N), within 1.5x of it at N = 256 and 3.5-180x slower at N = 512,
 so ``ModelConfig`` rejects models with N*M > MAX_TRANSFORM_SIZE = 2^17
@@ -199,50 +201,48 @@ def _rows_per_product(n_in: int, n_out: int) -> int:
     return max(1, _BLOCK_MADDS // (n_in * n_out))
 
 
-def _apply(a: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``a @ matrix`` over the last axis, in single-threaded row blocks,
-    into ``out`` (C-contiguous, shape ``a.shape[:-1] + (n_out,)``) if given."""
-    n_in, n_out = matrix.shape
-    block = _rows_per_product(n_in, n_out)
-    rows = a.reshape(-1, n_in)
-    if out is None:
-        if rows.shape[0] <= block:
-            # one product without the output buffer and slicing: the block
-            # loop alone cost about 1 us more per call at one row, 8-10% of
-            # a coupled path (about 10^5 single-row transforms)
-            return np.dot(rows, matrix).reshape(a.shape[:-1] + (n_out,))
-        out = np.empty(a.shape[:-1] + (n_out,))
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    flat = out.reshape(-1, n_out)
-    if rows.shape[0] <= block:
-        np.dot(rows, matrix, flat)
+def _product(matrix: np.ndarray, rows: int | None):
+    """``product(a, out)``: ``a @ matrix`` for ``rows`` rows (None: one
+    vector) into ``out`` (C-contiguous), in the row blocks of the block
+    rule; returns ``out``.  The only place that applies the rule."""
+    block = _rows_per_product(*matrix.shape)
+    if rows is None or rows <= block:
+        def product(a, out):
+            return np.dot(a, matrix, out)
     else:
-        for i in range(0, rows.shape[0], block):
-            np.matmul(rows[i:i + block], matrix, flat[i:i + block])
-    return out
+        slices = [slice(i, i + block) for i in range(0, rows, block)]
+
+        def product(a, out):
+            for s in slices:
+                np.matmul(a[s], matrix, out[s])
+            return out
+    return product
 
 
-def grid_values_to_coeffs(values: np.ndarray, n_modes: int,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Fast path of ``from_grid`` on raw arrays (mode axis last); writes
-    into ``out`` (C-contiguous, shape ``values.shape[:-1] + (N,)``) if given."""
+def _apply(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``a @ matrix`` over the last axis, in single-threaded row blocks."""
+    rows = a.reshape(-1, matrix.shape[0])
+    out = np.empty((rows.shape[0], matrix.shape[1]))
+    _product(matrix, rows.shape[0])(rows, out)
+    return out.reshape(a.shape[:-1] + (matrix.shape[1],))
+
+
+def grid_values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
+    """Fast path of ``from_grid`` on raw arrays (mode axis last)."""
     values = np.asarray(values, dtype=float)
     m = values.shape[-1]
     if m < n_modes:
         raise ValueError(f"grid too coarse: M={m} < N={n_modes}")
-    return _apply(values, _sine_matrices(n_modes, m)[1], out)
+    return _apply(values, _sine_matrices(n_modes, m)[1])
 
 
-def coeffs_to_grid_values(coeffs: np.ndarray, m_points: int,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Fast path of ``to_grid`` on raw arrays (mode axis last); writes
-    into ``out`` (C-contiguous, shape ``coeffs.shape[:-1] + (M,)``) if given."""
+def coeffs_to_grid_values(coeffs: np.ndarray, m_points: int) -> np.ndarray:
+    """Fast path of ``to_grid`` on raw arrays (mode axis last)."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[-1]
     if m_points < n:
         raise ValueError(f"grid too coarse: M={m_points} < N={n}")
-    return _apply(coeffs, _sine_matrices(n, m_points)[0], out)
+    return _apply(coeffs, _sine_matrices(n, m_points)[0])
 
 
 def from_grid(grid: GridField, n_modes: int) -> SpectralField:

@@ -90,15 +90,6 @@ class TestEstimate:
         with pytest.raises(ErgodicityError):
             estimate_bbar(bad, np.zeros(8), params, seed=6)
 
-    def test_ensemble_at_horizon_agrees(self, heat):
-        slow = AveragingParams(t_burn=8.0, t_avg=24.0, dt=0.02, n_replicas=4)
-        ens = AveragingParams(t_burn=12.0, t_avg=1.0, dt=0.02, n_replicas=512,
-                              strategy="ensemble-at-horizon")
-        a = estimate_bbar(heat, np.zeros(8), slow, seed=7)
-        b = estimate_bbar(heat, np.zeros(8), ens, seed=8)
-        assert np.linalg.norm(a.value - b.value) <= 4.0 * np.hypot(a.stderr,
-                                                                   b.stderr)
-
     def test_grid_side_average_matches_per_step_projection(self, heat, rng):
         params = AveragingParams(t_burn=2.0, t_avg=4.0, dt=0.02, n_replicas=3)
         xs = rng.standard_normal((5, 8)) * 0.5
@@ -107,13 +98,12 @@ class TestEstimate:
         assert np.max(np.abs(values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
         assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12 * np.max(ref_stderr)
 
-    @pytest.mark.parametrize("strategy,bad_call,bad", [
-        ("time-average", 3, np.nan),
-        ("time-average", 5, np.inf),
-        ("time-average", 1, -np.inf),
-        ("ensemble-at-horizon", 1, np.nan),
+    @pytest.mark.parametrize("bad_call,bad", [
+        pytest.param(3, np.nan, id="time-average-3-nan"),
+        pytest.param(5, np.inf, id="time-average-5-inf"),
+        pytest.param(1, -np.inf, id="time-average-1--inf"),
     ])
-    def test_rejects_non_finite_slow_drift(self, heat, strategy, bad_call, bad):
+    def test_rejects_non_finite_slow_drift(self, heat, bad_call, bad):
         calls = []
 
         def drift_b(x_grid, y_grid):
@@ -123,8 +113,7 @@ class TestEstimate:
                 out[0, 2] = bad
             return out
 
-        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2,
-                                 strategy=strategy)
+        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2)
         with pytest.raises(IntegrationError, match="slow drift.*at xi="):
             estimate_bbar(replace(heat, drift_b=drift_b), np.zeros(8), params,
                           seed=21)
@@ -227,8 +216,6 @@ class TestParamsValidation:
             AveragingParams(t_burn=1.0, t_avg=0.0)
         with pytest.raises(ConfigError):
             AveragingParams(t_burn=1.0, t_avg=1.0, n_replicas=1)
-        with pytest.raises(ConfigError):
-            AveragingParams(t_burn=1.0, t_avg=1.0, strategy="bogus")
 
     def test_batch_shapes(self, heat, params, rng):
         xs = rng.standard_normal((3, 8)) * 0.2

@@ -1,6 +1,7 @@
 """The statistics of ``tools/bench_pairs.py`` on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,63 @@ def test_every_end_to_end_metric_of_the_benchmark_is_summarized(bench_pairs):
     out = bench_pairs.summarize([line] * 4, [line] * 4)
     assert sorted(out) == sorted(names)
     assert all(m["ratio"] == 1.0 and m["pairs_won"] == 0 for m in out.values())
+
+
+@pytest.fixture()
+def offline(bench_pairs, monkeypatch, tmp_path):
+    """``main`` with one workload ``w`` and every subprocess stubbed out;
+    returns the calls ``bench_run`` received."""
+    monkeypatch.setattr(bench_pairs, "SPEC", {
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                        "bound": 0.25}]})
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "unpack_revision",
+                        lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "copy_checkout", lambda dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "source_digest", lambda checkout: "")
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    monkeypatch.setattr(bench_pairs, "fingerprints",
+                        lambda checkout: {"w/1": "same"})
+    calls = []
+
+    def bench_run(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        if (checkout.name, seed) == ("change", bench_pairs.SEED0 + 1):
+            return 3, None
+        return 0, {"correct": True, "failed": 0,
+                   "metrics": {"wall_s": {"value": 1.0 + seed % 10}}}
+
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    return calls
+
+
+def test_a_failed_run_is_recorded_and_the_pairs_go_on(bench_pairs, offline,
+                                                       tmp_path):
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--pairs", "4",
+                             "--out", str(out)]) == 1
+    assert len(offline) == 8  # every run of every pair was made
+    result = json.loads(out.read_text())
+    assert result["failed_runs"] == [{"side": "change", "workload": "w",
+                                      "seed": bench_pairs.SEED0 + 1,
+                                      "exit_code": 3}]
+    assert result["all_runs_correct"] is False
+    w = result["workloads"]["w"]
+    assert w["complete_pairs"] == 3
+    assert w["metrics"]["wall_s"]["pairs"] == 3
+    assert w["metrics"]["wall_s"]["parent"] == [1.0, 3.0, 4.0]
+
+
+def test_unknown_workload_exits_2_before_any_work(bench_pairs, offline,
+                                                   monkeypatch, tmp_path):
+    def no_work(rev, dest):
+        raise AssertionError("the parent was unpacked")
+
+    monkeypatch.setattr(bench_pairs, "unpack_revision", no_work)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "nope",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert not offline and not out.exists()

@@ -398,6 +398,33 @@ class TestDispatch:
         assert sha(out1) == sha(out2)
 
 
+class TestConstantDrifts:
+    """A drift given as a constant runs in every command that steps or
+    samples it."""
+
+    @pytest.fixture(params=["drift_f", "drift_b"])
+    def const_cfg(self, tmp_path, request):
+        p = tmp_path / "const.cfg"
+        p.write_text("model = heat_example\nr1 = 0.1\nr2 = 0.1\nn_modes = 8\n"
+                     f"{request.param} = 0.25\n[run]\neps = 0.1\n")
+        return p
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "0.01"],
+        ["average", "--x", "zero", "--Tb", "1", "--Ta", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_command_runs(self, const_cfg, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", str(const_cfg), "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_check_reports_a1_holds(self, const_cfg, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "--config", str(const_cfg), "--out", str(out)]) == 0
+        assert "A1_drift_regularity: holds" in capsys.readouterr().out
+        assert json.loads(out.read_text())["A1_drift_regularity"]["status"] == "holds"
+
+
 class TestLongBurnAndEps:
     @pytest.mark.parametrize("cfg_line,argv,t_burn", [
         ("", ["verify", "--lemma", "holder", "--n-mc", "2", "--Tb", "4"], 4.0),

@@ -2,20 +2,24 @@
 frozen state, callers' arrays left alone, plain drifts as before, and no
 allocation per step."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slowfast_spde.averaging import AveragingParams, estimate_bbar_batch
+from slowfast_spde.averaging import (AveragingParams, BbarOracle,
+                                     estimate_bbar_batch, mixing_diagnostic)
 from slowfast_spde.errors import ConfigError
-from slowfast_spde.experiments import contraction_test
+from slowfast_spde.experiments import contraction_test, correlation_decay
 from slowfast_spde.model import heat_example
 from slowfast_spde.noise import conv_increment_law, derive_substream
 from slowfast_spde.simulate import (SlowFastState, StepScheme, _frozen_fast,
-                                    simulate_auxiliary_fast, simulate_frozen,
-                                    simulate_slow_fast, step_slow_fast)
+                                    simulate_auxiliary_fast, simulate_averaged,
+                                    simulate_frozen, simulate_slow_fast,
+                                    step_slow_fast)
 from slowfast_spde import simulate
 from slowfast_spde.spectral import (_rows_per_product, coeffs_to_grid_values,
                                     grid_values_to_coeffs)
@@ -186,7 +190,7 @@ class TestPlainDrifts:
 
     def test_values_of_a_broadcast_shape(self, heat, fields):
         # a y-free drift at one x returns one row for a batch of paths;
-        # the step projects that row and broadcasts it, as it always did
+        # the step copies it to every row of its buffer before projecting
         def f_one_row(x_grid, y_grid):
             return np.cos(np.sqrt(np.abs(x_grid)))
 
@@ -198,14 +202,46 @@ class TestPlainDrifts:
                                     streams()[1]).states
                     for f in (f_one_row, f_every_row))
         assert got.shape == ref.shape == (6, 4, 8)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got, ref)
+
+    def test_constant_drifts_run_in_every_integrator(self, heat, fields):
+        # a drift that returns a Python float gives the numbers of the same
+        # drift returning the float on every grid point, bit for bit
+        def full(value):
+            return lambda x_grid, y_grid: np.full(
+                np.broadcast_shapes(np.shape(x_grid), np.shape(y_grid)), value)
+
+        const = replace(heat, drift_f=lambda x_grid, y_grid: 0.25,
+                        drift_b=lambda x_grid, y_grid: -0.5)
+        ref = replace(heat, drift_f=full(0.25), drift_b=full(-0.5))
+        x, xs, y0 = fields(8), fields(3, 8), fields(3, 8)
+        scheme = StepScheme(1e-2)
+
+        def run(cfg):
+            slow, fast = simulate_slow_fast(cfg, 1e-2, xs, y0, 0.03, scheme,
+                                            *streams(9))
+            return [slow.states, fast.states,
+                    simulate_frozen(cfg, x, y0, 0.1, 0.02, streams(9)[1]).states,
+                    simulate_auxiliary_fast(cfg, 1e-2, slow, 0.02, y0, scheme,
+                                            streams(9)[1]).states,
+                    simulate_averaged(cfg, xs, 0.03, 1e-2, streams(9)[0],
+                                      BbarOracle(cfg, PARAMS, seed=9)).states,
+                    *estimate_bbar_batch(cfg, xs, PARAMS, seed=9),
+                    mixing_diagnostic(cfg, x, 0.2, 4, seed=9).signals,
+                    correlation_decay(cfg, x, 0.2, 4, seed=9, t_burn=0.1,
+                                      window=1.0).estimates,
+                    contraction_test(cfg, (0.1, 0.2), 0.02, 4, seed=9).estimates]
+
+        for got, want in zip(run(const), run(ref), strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestBoundProducts:
-    """At most 256 paths of N = 32, M = 64 (one BLAS product per transform)
-    the step multiplies by the sine matrices bound at freeze; above that it
-    calls the public transforms.  Either way the numbers are those of the
-    public transforms and ``decay * (y + h * f) + std * z``, bit for bit."""
+    """The step multiplies by the sine products bound at freeze at every row
+    count: one BLAS product up to 256 paths of N = 32, M = 64, row blocks
+    above.  It never calls the public transforms, and its numbers are those
+    of the public transforms and ``decay * (y + h * f) + std * z``, bit for
+    bit."""
 
     H = 0.02
 
@@ -229,10 +265,13 @@ class TestBoundProducts:
     def test_256_rows_is_the_last_single_product(self, heat32):
         assert _rows_per_product(heat32.n_modes, heat32.m_points) == 256
 
-    @pytest.mark.parametrize("rows,bound", [(None, True), (1, True), (256, True),
-                                            (257, False), (400, False)])
+    @pytest.mark.parametrize("rows,one_product", [(None, True), (1, True),
+                                                  (256, True), (257, False),
+                                                  (400, False)])
     def test_steps_match_the_public_transforms(self, heat32, monkeypatch, rows,
-                                               bound):
+                                               one_product):
+        # the cases cover both kinds of product: one np.dot, and row blocks
+        assert ((rows or 1) <= _rows_per_product(32, 64)) is one_product
         rng = np.random.default_rng(53)
         shape = (32,) if rows is None else (rows, 32)
         scale = np.arange(1, 33)
@@ -246,24 +285,55 @@ class TestBoundProducts:
         for z in zs:
             assert step(y, z) is y
         assert np.array_equal(y, ref)
-        assert len(calls) == (0 if bound else 2 * len(zs))
+        assert not calls
 
-    def test_values_of_a_broadcast_shape_take_the_public_path(self, heat,
-                                                             fields, monkeypatch):
-        def f_one_row(x_grid, y_grid):
-            return np.cos(np.sqrt(np.abs(x_grid)))
 
-        cfg = replace(heat, drift_f=f_one_row)
-        x_grid = coeffs_to_grid_values(fields(8), heat.m_points)
-        y0, zs = fields(4, 8), fields(3, 4, 8)
-        ref = self.reference_steps(cfg, x_grid, y0, zs)
-        calls = self.public_calls(monkeypatch)
-        step = _frozen_fast(cfg, self.H)(x_grid, 4)
+class TestStates:
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 256, 257, 3200])
+    def test_grids_of_every_state_on_one_draw_each(self, heat32, rows, n_steps):
+        rng = np.random.default_rng(61)
+        shape = (32,) if rows is None else (rows, 32)
+        scale = np.arange(1, 33)
+        freeze = _frozen_fast(heat32, 0.02)
+        x_grid = coeffs_to_grid_values(rng.standard_normal(shape) / scale, 64)
+        y0 = rng.standard_normal(shape) / scale
+        stream = derive_substream(3, 0, "W2", 32)
+        step = freeze(x_grid, rows)
         y = y0.copy()
-        for z in zs:
-            step(y, z)
+        grids = 0
+        for y_grid in step.states(y, stream, n_steps):
+            assert np.array_equal(y_grid, coeffs_to_grid_values(y, 64))
+            grids += 1
+        assert grids == n_steps + 1 and stream.draws == n_steps
+        # the same steps, one replayed draw each
+        ref, replay = y0.copy(), stream.replay()
+        ref_step = freeze(x_grid, rows)
+        for _ in range(n_steps):
+            ref_step(ref, replay.standard_normals(rows))
         assert np.array_equal(y, ref)
-        assert len(calls) == len(zs)  # the projection of the one row
+
+
+class TestFrozenStateLifetime:
+    @pytest.mark.parametrize("drift", ["protocol", "plain"])
+    def test_dropping_the_step_frees_it_without_a_collection(self, heat,
+                                                            fields, drift):
+        # estimators freeze a new state per call; a reference cycle would
+        # keep every state's buffers until the cyclic collector ran
+        cfg = heat if drift == "protocol" else replace(
+            heat, drift_f=plain(heat.drift_f), drift_b=plain(heat.drift_b))
+        step = _frozen_fast(cfg, 0.02)(
+            coeffs_to_grid_values(fields(4, 8), heat.m_points), 4)
+        y = fields(4, 8)
+        for y_grid in step.states(y, streams()[1], 2):
+            step.drift_b(y_grid)
+        gc.disable()
+        try:
+            alive = weakref.ref(step)
+            del step, y_grid
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestNoAllocationPerStep:

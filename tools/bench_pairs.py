@@ -26,8 +26,12 @@ operations; and the Python, numpy, scipy and BLAS versions and the
 CPU.  A speedup counts when the change wins at least 9 of 10 pairs and
 its median is better by more than the parent's IQR.
 
-Exit code 0 when every run was correct and every fingerprint equal,
-1 otherwise.
+A run that exits non-zero is recorded under ``failed_runs`` (side,
+workload, seed, exit code) and the pairs go on; the statistics of a
+workload take its pairs whose two runs both succeeded.  Exit code 0
+when every run succeeded and was correct and every fingerprint is
+equal, 1 otherwise, and 2 (before any work) for an unknown
+``--workload``.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workload", action="append", dest="workloads",
+                   choices=[w["name"] for w in SPEC["workloads"]],
                    help="workload to run (repeatable; default: all)")
     p.add_argument("--out", type=Path, required=True)
     return p.parse_args(argv)
@@ -103,16 +108,17 @@ def copy_checkout(dest: Path) -> None:
             shutil.copy2(src, dest / rel)
 
 
-def bench_run(checkout: Path, workload: str, seed: int) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> tuple[int, dict | None]:
+    """(exit code, last output line as JSON); the line is None unless the
+    run exited 0 with output."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", repr(float(SPEC["run_seconds"])), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench/run.py failed in {checkout.name} "
-                           f"({workload}, seed {seed}): exit {proc.returncode}")
-    return json.loads(lines[-1])
+        return proc.returncode, None
+    return 0, json.loads(lines[-1])
 
 
 def source_digest(checkout: Path) -> str:
@@ -200,24 +206,38 @@ def main(argv=None) -> int:
             "environment": environment(), "workloads": {},
         }
         all_correct = True
+        failed_runs = []
         for j, name in enumerate(names):
-            runs = {"parent": [], "change": []}
+            pairs = []
             seeds = []
             for i in range(args.pairs):
                 seed = SEED0 + 100 * j + i
                 seeds.append(seed)
                 order = [("parent", parent_dir), ("change", change_dir)]
+                pair = {}
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    line = bench_run(checkout, name, seed)
-                    runs[side].append(line)
-                    all_correct &= line["correct"] and line["failed"] == 0
-                    print(f"{name} pair {i + 1}/{args.pairs} {side}: "
-                          f"wall_s {line['metrics']['wall_s']['value']:.3f}",
+                    code, line = bench_run(checkout, name, seed)
+                    if line is None:
+                        failed_runs.append({"side": side, "workload": name,
+                                            "seed": seed, "exit_code": code})
+                        all_correct = False
+                        status = f"exit {code}"
+                    else:
+                        pair[side] = line
+                        all_correct &= line["correct"] and line["failed"] == 0
+                        status = f"wall_s {line['metrics']['wall_s']['value']:.3f}"
+                    print(f"{name} pair {i + 1}/{args.pairs} {side}: {status}",
                           file=sys.stderr, flush=True)
-            result["workloads"][name] = {"seeds": seeds,
-                                         "metrics": summarize(runs["parent"],
-                                                              runs["change"])}
+                if len(pair) == 2:
+                    pairs.append(pair)
+            # the statistics take the pairs both of whose runs succeeded
+            result["workloads"][name] = {
+                "seeds": seeds, "complete_pairs": len(pairs),
+                "metrics": summarize([p["parent"] for p in pairs],
+                                     [p["change"] for p in pairs])
+                if len(pairs) >= 2 else None}
         result["all_runs_correct"] = all_correct
+        result["failed_runs"] = failed_runs
         fp_parent, fp_change = fingerprints(parent_dir), fingerprints(change_dir)
         result["fingerprint_seeds"] = list(FINGERPRINT_SEEDS)
         result["fingerprints_equal"] = {
