@@ -279,17 +279,19 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     k = n_track_modes
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
     track_mean = np.empty((n_steps + 1, 2 * k))
-    track_sq = np.empty((n_steps + 1, 2 * k))
+    track_var = np.empty((n_steps + 1, 2 * k))
+    ddof = 1 if reps > 1 else 0
 
     for i, y_grid in enumerate(step.states(y, stream, n_steps)):
         b = _drift_coeffs(step.drift_b(y_grid), config)
         phi = np.concatenate([y[:, :k], b[:, :k]], axis=1)
         track_mean[i] = phi.mean(axis=0)
-        track_sq[i] = (phi**2).mean(axis=0)
+        # two passes about the first replica: replicas that agree give
+        # exactly 0, where E[phi^2] - E[phi]^2 leaves rounding noise
+        track_var[i] = np.var(phi - phi[:1], axis=0, ddof=ddof)
 
     times = np.arange(n_steps + 1) * dt
-    var = np.maximum(track_sq - track_mean**2, 0.0) * reps / max(reps - 1, 1)
-    se = np.sqrt(var / reps)
+    se = np.sqrt(track_var / reps)
     tail = slice(max(1, 3 * (n_steps + 1) // 4), None)
     mu = track_mean[tail].mean(axis=0)
     signals = np.abs(track_mean - mu)

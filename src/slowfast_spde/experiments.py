@@ -315,7 +315,9 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     Part 1 (equal slow argument): per path a random initial offset
     of the fast variable; the squared distance must contract at least
     like e^{-(lambda_1 - L_F) t} pathwise (the shared noise cancels
-    exactly), checked at each time in ``t_checks`` with slack ``tol``.
+    exactly), checked at each time in ``t_checks`` with slack ``tol``;
+    the decay rate is fitted through them, so they must be at least two
+    distinct positive multiples of ``dt``.
     Part 2 (optional, equal fast start): offsets of the slow argument
     leave a plateau bounded by C |dx|^{2 gamma}; the fitted C must be
     stable across offset scales.
@@ -328,9 +330,11 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     dy = rng.standard_normal((n_mc, n))
     dy *= y_offset_scale / _norms(dy)[:, None]
     t_checks = sorted(float(t) for t in t_checks)
-    t_final = t_checks[-1]
-    n_steps = int(round(t_final / dt))
-    check_idx = {int(round(t / dt)): t for t in t_checks}
+    check_steps = [_whole_steps(t, dt, "check time") for t in t_checks]
+    if len(set(check_steps)) < 2 or check_steps[0] == 0:
+        raise ConfigError("contraction_test fits a decay rate and needs at least "
+                          f"two distinct positive check times, got {t_checks}")
+    t_final, n_steps = t_checks[-1], check_steps[-1]
 
     stream = derive_substream(seed, 0, "W2", n)
     freeze = _frozen_fast(config, dt)
@@ -343,13 +347,13 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
         stream.standard_normals(n_mc, out=z)  # shared by both ensembles
         step(ya, z)
         step(yb, z)
-        if i in check_idx:
-            ratios[check_idx[i]] = _norms(ya - yb) ** 2 / d0
+        if i in check_steps:
+            ratios[i] = _norms(ya - yb) ** 2 / d0
 
     ests, ses, worst = [], [], []
     violations = 0
-    for t in t_checks:
-        r = ratios[t]
+    for t, i in zip(t_checks, check_steps):
+        r = ratios[i]
         bound = math.exp(-gap * t) * (1.0 + tol)
         violations += int(np.sum(r > bound))
         ests.append(float(np.mean(r)))

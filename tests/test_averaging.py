@@ -10,7 +10,7 @@ from slowfast_spde.averaging import (AveragingParams, BbarOracle,
                                      mixing_diagnostic)
 from slowfast_spde.errors import ConfigError, ErgodicityError, IntegrationError
 from slowfast_spde.model import heat_example
-from slowfast_spde.noise import conv_increment_law, derive_substream
+from slowfast_spde.noise import NoiseSpectrum, conv_increment_law, derive_substream
 from slowfast_spde.spectral import PI, coeffs_to_grid_values, grid_values_to_coeffs
 
 
@@ -203,6 +203,15 @@ class TestMixing:
         target = heat.spectral_gap * heat.beta / 2.0  # 1/8
         assert not diag.insufficient_data
         assert diag.rate >= target - diag.rate_ci
+
+    def test_identical_replicas_give_zero_stderr(self, heat, rng):
+        # without fast noise the replicas never part: their spread, and so
+        # every stderr, is exactly 0, not the rounding of E[phi^2] - E[phi]^2
+        cfg = replace(heat, q2=NoiseSpectrum(np.zeros(8)))
+        diag = mixing_diagnostic(cfg, rng.standard_normal(8) * 0.5, horizon=1.0,
+                                 n_replicas=64, seed=12)
+        assert np.all(diag.stderrs == 0.0)
+        assert np.all(diag.signals[0] > 0.0)
 
     def test_short_horizon_flagged(self, heat):
         diag = mixing_diagnostic(heat, np.zeros(8), horizon=0.06,

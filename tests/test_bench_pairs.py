@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +148,22 @@ def test_unknown_workload_exits_2_before_any_work(bench_pairs, offline,
                           "--out", str(out)])
     assert exc.value.code == 2
     assert not offline and not out.exists()
+
+
+def test_environment_records_the_trig_dispatch_targets(bench_pairs):
+    import numpy
+
+    dispatch = bench_pairs.environment()["float64_dispatch"]
+    if int(numpy.__version__.split(".")[0]) < 2:
+        assert dispatch is None
+    else:
+        assert sorted(dispatch) == ["cos", "sin", "tan"]
+        assert all(isinstance(target, str) and target
+                   for target in dispatch.values())
+
+
+def test_trig_dispatch_is_null_without_introspection(bench_pairs, monkeypatch):
+    # numpy before 2.0 has no numpy.lib.introspect
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+    assert bench_pairs.trig_dispatch() is None
+    assert bench_pairs.environment()["float64_dispatch"] is None

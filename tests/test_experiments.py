@@ -137,6 +137,17 @@ class TestContraction:
         for t, worst in zip(rep.grid, rep.extra["worst_ratio"]):
             assert worst <= np.exp(-2.0 * cfg.eigs.lambda_1 * t) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("t_checks", [(0.1,), (0.1, 0.1), (), (0.0, 0.1)])
+    def test_fewer_than_two_check_times_rejected(self, heat, t_checks):
+        # one time fits no rate: the slope was NaN with verdict "pass"
+        with pytest.raises(ConfigError, match="two distinct positive check times"):
+            contraction_test(heat, t_checks, 0.02, 4, seed=9)
+
+    def test_check_time_off_the_step_rejected(self, heat):
+        # 0.105 was rounded to the step of 0.1, whose ratio then went missing
+        with pytest.raises(ConfigError, match="check time"):
+            contraction_test(heat, (0.1, 0.105), 0.02, 4, seed=9)
+
     def test_x_offset_plateau_constant_stable(self, heat):
         rep = contraction_test(heat, (1.0, 2.0, 4.0), 0.02, n_mc=32, seed=6,
                                x_offset_scales=(0.25, 0.5, 1.0))

@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slowfast_spde.errors import ConfigError
-from slowfast_spde.model import (ModelConfig, check_assumptions,
+from slowfast_spde.errors import ConfigError, IntegrationError
+from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, check_assumptions,
                                  empirical_holder, heat_drift_b, heat_drift_f,
-                                 heat_example, low_mode_pair_sampler)
+                                 heat_example, low_mode_pair_sampler, sqrt_abs)
 from slowfast_spde.noise import power_law_spectrum
-from slowfast_spde.spectral import OperatorSpectrum
+from slowfast_spde.simulate import _drift_coeffs, _frozen_fast
+from slowfast_spde.spectral import OperatorSpectrum, grid_points
 
 
 def make_broken_constant_spectrum(n=16):
@@ -56,6 +59,90 @@ class TestHeatExample:
         # |F(a,b)-F(a,b')| <= 0.5 |b-b'|
         df = np.abs(heat_drift_f(a, b) - heat_drift_f(a, b2))
         assert np.all(df <= 0.5 * np.abs(b - b2) + 1e-12)
+
+
+def drift_arguments(x, y):
+    """The arguments a of B = sin(a) and F = cos(a)/2, rounded as the drifts
+    round them."""
+    x_part = sqrt_abs(x)
+    return x_part + np.sqrt(np.abs(y)), x_part + np.abs(y)
+
+
+@st.composite
+def drift_fields(draw, sizes):
+    """Grid values x, y of a drawn size, |y| up to 1e3; every other value
+    of y puts B's or F's argument at or next to a pole of the tangent it
+    takes: a = (2k + 1) pi for both, and a = 3 pi/2 + 2 k pi for B's u."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(sizes)
+    x = rng.uniform(-1.0, 1.0, size) * draw(st.sampled_from([1.0, 10.0, 1e3]))
+    y = rng.uniform(-1.0, 1.0, size) * draw(st.sampled_from([1.0, 30.0, 1e3]))
+    near = rng.uniform(0.0, 1.0, size) < 0.5
+    pole = draw(st.sampled_from(["b", "b-u", "f"]))
+    k = rng.integers(0, 5 if pole != "f" else 159, size)
+    target = (2 * k + (1.5 if pole == "b-u" else 1.0)) * np.pi - sqrt_abs(x)
+    target += rng.choice([0.0, 1e-15, -1e-15, 1e-9, -1e-6], size) * target
+    target = np.maximum(target, 0.0)
+    y[near] = (target**2 if pole != "f" else target)[near]
+    return x, y * rng.choice([-1.0, 1.0], size)
+
+
+class TestHeatDriftForms:
+    """Above ``_TAN_MIN_VALUES`` values the heat drifts take their
+    half-angle forms; below it they are np.sin and np.cos."""
+
+    above = st.sampled_from([(_TAN_MIN_VALUES,), (_TAN_MIN_VALUES // 64, 64),
+                             (40, 64), (3, 50, 16)])
+    below = st.sampled_from([(1,), (64,), (_TAN_MIN_VALUES - 1,),
+                             (_TAN_MIN_VALUES // 64 - 1, 64)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(drift_fields(above))
+    def test_tangent_forms_match_sin_and_cos(self, fields):
+        x, y = fields
+        a_b, a_f = drift_arguments(x, y)
+        b, f = heat_drift_b(x, y), heat_drift_f(x, y)
+        assert np.max(np.abs(b - np.sin(a_b))) <= 2e-15
+        assert np.max(np.abs(f - 0.5 * np.cos(a_f))) <= 2e-15
+        assert np.all(np.abs(b) <= 1.0) and np.all(np.abs(f) <= 0.5)
+        # the frozen-x protocol writes the same values into ``out``
+        for drift, values in ((heat_drift_b, b), (heat_drift_f, f)):
+            out = np.empty_like(y)
+            assert drift(None, y, x_part=sqrt_abs(x), out=out) is out
+            assert np.array_equal(out, values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(drift_fields(below))
+    def test_small_fields_are_sin_and_cos_bit_for_bit(self, fields):
+        x, y = fields
+        a_b, a_f = drift_arguments(x, y)
+        assert np.array_equal(heat_drift_b(x, y), np.sin(a_b))
+        assert np.array_equal(heat_drift_f(x, y), np.multiply(np.cos(a_f), 0.5))
+
+    def test_the_threshold_is_the_first_tangent_size(self, rng):
+        # the half-angle forms round differently from np.sin and np.cos,
+        # so a field of random values shows which form it took
+        for size, tangent in ((_TAN_MIN_VALUES - 1, False), (_TAN_MIN_VALUES, True)):
+            x, y = rng.uniform(-3.0, 3.0, (2, size))
+            a_b, a_f = drift_arguments(x, y)
+            assert np.array_equal(heat_drift_b(x, y), np.sin(a_b)) is not tangent
+            assert np.array_equal(heat_drift_f(x, y),
+                                  np.multiply(np.cos(a_f), 0.5)) is not tangent
+
+    @pytest.mark.parametrize("rows", [_TAN_MIN_VALUES // 64 - 1, _TAN_MIN_VALUES // 64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["b", "f"])
+    def test_non_finite_y_is_located(self, heat32, rows, bad, which):
+        step = _frozen_fast(heat32, 0.02)(np.zeros((rows, 64)), rows)
+        y_grid = np.zeros((rows, 64))
+        y_grid[rows - 1, 37] = bad
+        xi = grid_points(64)[37]
+        with np.errstate(invalid="ignore"), pytest.raises(
+                IntegrationError, match=f"xi={xi:.6f}"):
+            if which == "f":
+                step(np.zeros((rows, 32)), np.zeros((rows, 32)), y_grid)
+            else:
+                _drift_coeffs(step.drift_b(y_grid), heat32)
 
 
 class TestEmpiricalHolder:

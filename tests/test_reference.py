@@ -17,12 +17,13 @@ from slowfast_spde.averaging import (AveragingParams, estimate_bbar_batch,
                                      mixing_diagnostic)
 from slowfast_spde.experiments import (contraction_test, correlation_decay,
                                        rate_fit)
-from slowfast_spde.model import heat_example
+from slowfast_spde.model import _TAN_MIN_VALUES, heat_example
 from slowfast_spde.noise import derive_substream
 from slowfast_spde.simulate import (StepScheme, simulate_auxiliary_fast,
                                     simulate_frozen, simulate_slow_fast)
 
 DATA = Path(__file__).resolve().parent / "data" / "frozen_reference.npz"
+LARGE_PATHS = 256
 
 
 def reference_outputs() -> dict[str, np.ndarray]:
@@ -38,6 +39,20 @@ def reference_outputs() -> dict[str, np.ndarray]:
     values, stderrs = estimate_bbar_batch(heat, xs, params, seed=11, y0=y0)
     out["bbar_time-average_values"] = values
     out["bbar_time-average_stderrs"] = stderrs
+
+    # 256 paths of 16 grid values: fields this large take the heat
+    # drifts' tangent forms (model._TAN_MIN_VALUES)
+    xs_large = rng.standard_normal((LARGE_PATHS, 8)) * 0.5
+    params = AveragingParams(t_burn=0.4, t_avg=0.6, dt=0.02, n_replicas=8)
+    values, stderrs = estimate_bbar_batch(heat, xs_large[:32], params, seed=17)
+    out["bbar_large_values"] = values
+    out["bbar_large_stderrs"] = stderrs
+    slow, fast = simulate_slow_fast(heat, 0.1, xs_large, np.zeros((LARGE_PATHS, 8)),
+                                    0.05, StepScheme(0.01),
+                                    derive_substream(18, 0, "W1", 8),
+                                    derive_substream(18, 0, "W2", 8))
+    out["coupled_large_slow"] = slow.states[-1]
+    out["coupled_large_fast"] = fast.states[-1]
 
     diag = mixing_diagnostic(heat, x, horizon=4.0, n_replicas=64, seed=12)
     out["mixing_fit"] = np.array([diag.rate, diag.rate_ci, *diag.window])
@@ -81,6 +96,11 @@ def reference_outputs() -> dict[str, np.ndarray]:
         fit = rate_fit(scales, ests, errs)
         out[f"rate_fit_{name}"] = np.array([fit.slope, fit.intercept, fit.ci])
     return out
+
+
+def test_large_runs_take_the_tangent_forms():
+    # both large runs step fields of LARGE_PATHS paths of m_points values
+    assert LARGE_PATHS * heat_example(0.1, 0.1, 8).m_points >= _TAN_MIN_VALUES
 
 
 def test_outputs_match_reference():

@@ -22,9 +22,10 @@ metric, the values of every run, median and quartiles per side, the
 change/parent median ratio, the pairs the change won, the parent's IQR
 and whether the medians differ by more than that IQR; whether each
 fingerprint is equal; whether every run was correct without failed
-operations; and the Python, numpy, scipy and BLAS versions and the
-CPU.  A speedup counts when the change wins at least 9 of 10 pairs and
-its median is better by more than the parent's IQR.
+operations; and the Python, numpy, scipy and BLAS versions, the SIMD
+targets of numpy's float64 sin, cos and tan, and the CPU.  A speedup
+counts when the change wins at least 9 of 10 pairs and its median is
+better by more than the parent's IQR.
 
 A run that exits non-zero is recorded under ``failed_runs`` (side,
 workload, seed, exit code) and the pairs go on; the statistics of a
@@ -165,6 +166,19 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def trig_dispatch() -> dict | None:
+    """The SIMD target numpy runs float64 sin, cos and tan on (the heat
+    drifts' cost depends on it), or None before numpy 2.0, which cannot
+    report it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(sin|cos|tan)$", signature="float64")
+    return {name: info.get(name, {}).get("dd", {}).get("current")
+            for name in ("sin", "cos", "tan")}
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -178,7 +192,7 @@ def environment() -> dict:
                 cpu = line.split(":", 1)[1].strip()
                 break
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy.__version__, "float64_dispatch": trig_dispatch(),
             "blas": {k: blas.get(k) for k in ("name", "version",
                                                "openblas configuration")},
             "platform": platform.platform(), "cpu": cpu,
