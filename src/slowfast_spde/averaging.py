@@ -267,9 +267,11 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     usable fit points) is flagged as insufficient data.
     """
     _require_gap(config)
+    reps = int(n_replicas)
+    if reps < 2:
+        raise ConfigError("need at least 2 replicas for an error bar")
     x = np.asarray(x, dtype=float)
     n = config.n_modes
-    reps = int(n_replicas)
     y = np.zeros((reps, n))
     y[:, 0] = displacement
     stream = derive_substream(seed, 0, "mixing", n)
@@ -280,7 +282,6 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
     track_mean = np.empty((n_steps + 1, 2 * k))
     track_var = np.empty((n_steps + 1, 2 * k))
-    ddof = 1 if reps > 1 else 0
 
     for i, y_grid in enumerate(step.states(y, stream, n_steps)):
         b = _drift_coeffs(step.drift_b(y_grid), config)
@@ -288,7 +289,7 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
         track_mean[i] = phi.mean(axis=0)
         # two passes about the first replica: replicas that agree give
         # exactly 0, where E[phi^2] - E[phi]^2 leaves rounding noise
-        track_var[i] = np.var(phi - phi[:1], axis=0, ddof=ddof)
+        track_var[i] = np.var(phi - phi[:1], axis=0, ddof=1)
 
     times = np.arange(n_steps + 1) * dt
     se = np.sqrt(track_var / reps)

@@ -79,9 +79,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def _emit_manifest(args, rc: ResolvedConfig, seed: int, wall_clock_s: float,
@@ -177,7 +175,9 @@ def cmd_average(args, rc: ResolvedConfig, seed: int):
     if args.x == "zero":
         x = np.zeros(n)
     else:
-        x = np.loadtxt(args.x, delimiter=",", ndmin=1)[:n]
+        x = np.loadtxt(args.x, delimiter=",", ndmin=1)
+        if x.ndim != 1 or x.shape[0] > n or not np.all(np.isfinite(x)):
+            raise ConfigError(f"--x takes one row or column of at most {n} finite values")
         x = np.pad(x, (0, n - x.shape[0]))
     est = estimate_bbar(rc.model, x, params, seed)
     rows = [("mode", "bbar_coeff", "stderr")]
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("average", help="estimate the averaged drift at a point")
     common(p, "bbar.csv")
-    p.add_argument("--x", default="zero", help="'zero' or CSV of coefficients")
+    p.add_argument("--x", default="zero", help="'zero' or a one-row or one-column CSV "
+                   "of at most n_modes finite coefficients, padded with zeros")
     p.add_argument("--Tb", dest="t_burn", type=float, default=None,
                    help="burn-in time")
     p.add_argument("--Ta", dest="t_avg", type=float, default=None,

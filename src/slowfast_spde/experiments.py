@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (AveragingParams, BbarOracle, _line_fit, derive_substream,
-                        estimate_bbar_batch, mixing_diagnostic)
+from .averaging import (AveragingParams, BbarOracle, _fit_log_decay, _line_fit,
+                        derive_substream, estimate_bbar_batch, mixing_diagnostic)
 from .errors import ConfigError
 from .model import ModelConfig
 from .simulate import (StepScheme, _drift_coeffs, _frozen_fast, _whole_steps,
@@ -482,21 +482,15 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
         ests.append(float(np.mean(per_rep)))
         ses.append(float(np.std(per_rep, ddof=1) / math.sqrt(n_mc)))
 
-    ests_a, ses_a = np.asarray(ests), np.asarray(ses)
-    usable = ests_a > 2.0 * ses_a
-    cut = int(np.argmin(usable)) if not usable.all() else len(usable)
-    if cut < 4:
-        fitted, ci = math.nan, math.inf
-        verdict = "inconclusive"
-    else:
-        slope, _, ci = _line_fit(lags[:cut], np.log(ests_a[:cut]))
-        fitted = -slope
-        target = config.spectral_gap * config.beta / 2.0
-        verdict = "pass" if fitted >= target - ci else "fail"
+    # the fit window ends where the signal drops below 2 ses = 4 * (ses / 2)
+    fitted, ci, cut = _fit_log_decay(np.asarray(lags), np.asarray(ests),
+                                     0.5 * np.asarray(ses))
+    target = config.spectral_gap * config.beta / 2.0
+    verdict = ("inconclusive" if cut < 4
+               else "pass" if fitted >= target - ci else "fail")
     return ExperimentReport(
         name="correlation-decay", grid=lags, estimates=ests, stderrs=ses,
-        slope=fitted, slope_ci=ci,
-        target=config.spectral_gap * config.beta / 2.0, verdict=verdict,
+        slope=fitted, slope_ci=ci, target=target, verdict=verdict,
         seed=seed, extra={"fit_lags": cut, "lag_step": dt_s},
     )
 

@@ -97,6 +97,8 @@ def heat_drift_b(x_grid: np.ndarray, y_grid: np.ndarray, *,
     """Slow drift sin(sqrt|x| + sqrt|y|), bounded by 1."""
     if x_part is None:
         x_part = sqrt_abs(x_grid)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x_part), np.shape(y_grid)))
     # ``out`` is passed positionally throughout: a keyword costs each
     # ufunc call about 0.1 us, a tenth of a call at one path
     v = np.add(x_part, np.sqrt(np.abs(y_grid, out), out), out)
@@ -117,6 +119,8 @@ def heat_drift_f(x_grid: np.ndarray, y_grid: np.ndarray, *,
     """Fast drift cos(sqrt|x| + |y|)/2, bounded by 1/2 and 1/2-Lipschitz in y."""
     if x_part is None:
         x_part = sqrt_abs(x_grid)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x_part), np.shape(y_grid)))
     v = np.add(x_part, np.abs(y_grid, out), out)
     if v.size < _TAN_MIN_VALUES:
         return np.multiply(np.cos(v, v), 0.5, v)

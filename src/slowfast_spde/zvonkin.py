@@ -11,9 +11,9 @@ set of d modes T_t has an explicit Gaussian kernel, evaluated here by
 tensor Gauss-Hermite quadrature; gradients DT_t use Gaussian
 integration by parts (per-axis scalar weights in the diagonal case),
 which stays finite for rough integrands.  Functions of the truncated
-state live on tensor grids with multilinear interpolation; queries
-outside the box clamp to the boundary (U and DU are bounded, so
-clamping is consistent).
+state live on tensor grids with multilinear interpolation
+(:func:`_hat`); queries outside the box clamp to the boundary (U and
+DU are bounded, so clamping is consistent).
 
 The iteration starts from U_0 = 0 and contracts once lambda is large
 enough; the time integral is truncated at T_max = 40 / lambda_1 on
@@ -42,17 +42,14 @@ production use in the simulator.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, PicardDivergenceError
 from .model import _log_quadrature_nodes
-
-if TYPE_CHECKING:
-    from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "OuKernel",
@@ -119,14 +116,14 @@ class TruncatedFunction:
 
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
-    _interp: RegularGridInterpolator | None = field(default=None, repr=False,
-                                                    compare=False)
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values, dtype=float)
-        gshape = tuple(a.shape[0] for a in self.axes)
-        if self.values.shape[: len(gshape)] != gshape:
+        if not all(a.ndim == 1 and a.size >= 2 and np.all(np.diff(a) > 0)
+                   for a in self.axes):
+            raise ConfigError("each axis must be strictly increasing, of at least 2 points")
+        if self.values.shape[: self.dim] != tuple(a.size for a in self.axes):
             raise ConfigError("values do not match the grid shape")
 
     @property
@@ -147,19 +144,16 @@ class TruncatedFunction:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        if self._interp is None:
-            # imported here: scipy is most of the package's import time
-            from scipy.interpolate import RegularGridInterpolator
-
-            self._interp = RegularGridInterpolator(
-                self.axes, self.values, method="linear", bounds_error=False)
         pts = np.asarray(points, dtype=float)
-        lead = pts.shape[:-1]
-        pts = pts.reshape(-1, self.dim).copy()
-        for j, ax in enumerate(self.axes):
-            np.clip(pts[:, j], ax[0], ax[-1], out=pts[:, j])
-        out = self._interp(pts)
-        return out.reshape(lead + self.out_shape)
+        hats = [_hat(ax, pts[..., j]) for j, ax in enumerate(self.axes)]
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            idx, weight = [], 1.0
+            for (left, frac), c in zip(hats, corner):
+                idx.append(left + c)
+                weight = weight * (frac if c else 1.0 - frac)
+            out = out + (self.values[tuple(idx)].T * weight.T).T
+        return out
 
     def sup_norm(self) -> float:
         """Max over grid nodes of the euclidean norm over output axes."""
@@ -168,17 +162,25 @@ class TruncatedFunction:
 
     @classmethod
     def from_callable(cls, fn, axes) -> "TruncatedFunction":
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(fn(pts), dtype=float)
-        gshape = tuple(a.shape[0] for a in axes)
-        return cls(axes, vals.reshape(gshape + vals.shape[1:]))
+        # the axes are checked before fn, which may be costly, is called
+        grid = cls(axes, np.empty([np.size(a) for a in axes]))
+        vals = np.asarray(fn(grid.grid_points()), dtype=float)
+        return cls(grid.axes, vals.reshape(grid.grid_shape + vals.shape[1:]))
+
+
+def _hat(axis: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped linear hat weights: p, clamped to ``axis``, lies at fraction
+    frac of the cell [axis[left], axis[left + 1]]; returns (left, frac)."""
+    p = np.clip(p, axis[0], axis[-1])
+    left = np.clip(np.searchsorted(axis, p) - 1, 0, axis.shape[0] - 2)
+    return left, (p - axis[left]) / (axis[left + 1] - axis[left])
 
 
 def box_axes(kernel: OuKernel, n_per_axis: int = 257,
              radius_mult: float = 4.0) -> tuple[np.ndarray, ...]:
     """Per-axis grids covering radius_mult stationary deviations."""
+    if n_per_axis < 2:
+        raise ConfigError(f"need at least 2 points per axis, got {n_per_axis}")
     radii = radius_mult * kernel.stationary_std()
     radii = np.where(radii > 0, radii, 1.0)
     return tuple(np.linspace(-r, r, n_per_axis) for r in radii)
@@ -296,16 +298,14 @@ def _axis_matrices(axis: np.ndarray, decay: np.ndarray, std: np.ndarray,
     For time nodes with per-axis ``decay`` and ``std`` (both (T,)),
     matrix V[t] sends samples f on ``axis`` to
     sum_q w_q f(x_i decay_t + z_q std_t), with f interpolated by the
-    clamped linear hat functions of :meth:`TruncatedFunction.__call__`;
+    clamped hat weights of :func:`_hat`, as TruncatedFunction does;
     D[t] uses the integration-by-parts weights w_q z_q decay_t / std_t
     instead.  Returns (V, D) stacked as (T, n, n), or, given ``damp``
     (T,), the sums over t of damp_t V[t] and damp_t D[t] as (n, n).
     """
     n, n_t = axis.shape[0], decay.shape[0]
     pts = axis[:, None] * decay[:, None, None] + z * std[:, None, None]  # (T, n, Q)
-    np.clip(pts, axis[0], axis[-1], out=pts)
-    left = np.clip(np.searchsorted(axis, pts) - 1, 0, n - 2)
-    frac = (pts - axis[left]) / (axis[left + 1] - axis[left])
+    left, frac = _hat(axis, pts)
     cell = left + np.arange(n)[:, None] * n
     if damp is None:
         cell += np.arange(n_t)[:, None, None] * (n * n)
@@ -393,8 +393,8 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     :class:`PicardDivergenceError` (increase lambda).  Grids of more
     than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`.
     """
-    if lam <= 0:
-        raise ConfigError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ConfigError(f"lambda must be finite and positive, got {lam}")
     d = kernel.dim
     if g.dim != d:
         raise ConfigError("g and kernel dimensions differ")

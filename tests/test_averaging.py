@@ -213,6 +213,12 @@ class TestMixing:
         assert np.all(diag.stderrs == 0.0)
         assert np.all(diag.signals[0] > 0.0)
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_fewer_than_two_replicas_is_config_error(self, heat, reps):
+        # the same refusal as AveragingParams: one replica has no spread
+        with pytest.raises(ConfigError, match="at least 2 replicas"):
+            mixing_diagnostic(heat, np.zeros(8), horizon=0.2, n_replicas=reps, seed=1)
+
     def test_short_horizon_flagged(self, heat):
         diag = mixing_diagnostic(heat, np.zeros(8), horizon=0.06,
                                  n_replicas=16, seed=18)

@@ -264,6 +264,31 @@ class TestDispatch:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0.1," * 39 + "0.1", "0.1,nan,0.2", "inf",
+                                        "0.1,0.2\n0.3,0.4"],
+                             ids=["too-many", "nan", "inf", "two-rows"])
+    def test_average_bad_x_is_config_error(self, cfg_path, tmp_path, capsys,
+                                           values):
+        x = tmp_path / "x.csv"
+        x.write_text(values + "\n")
+        out = tmp_path / "bbar.csv"
+        code = main(["average", "--config", str(cfg_path), "--x", str(x),
+                     "--Tb", "1", "--Ta", "1", "--out", str(out)])
+        assert code == 2
+        assert "at most 8 finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_average_pads_a_short_x_with_zeros(self, cfg_path, tmp_path):
+        outs = []
+        for name, values in (("short", "0.3,-0.2"), ("column", "0.3\n-0.2"),
+                             ("full", "0.3,-0.2" + ",0" * 6)):
+            x, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            x.write_text(values + "\n")
+            assert main(["average", "--config", str(cfg_path), "--x", str(x),
+                         "--Tb", "1", "--Ta", "1", "--out", str(out)]) == 0
+            outs.append(sha(out))
+        assert outs[0] == outs[1] == outs[2]
+
     @pytest.mark.parametrize("cfg_line,argv", [
         ("", ["verify", "--lemma", "contraction", "--n-mc", "0"]),
         ("", ["verify", "--lemma", "holder", "--n-mc", "0"]),
@@ -306,8 +331,12 @@ class TestDispatch:
         (SECTIONED, ["average", "--Ta", "nan"], "t_avg"),
         (SECTIONED, ["average", "--dt-frozen", "nan"], "dt"),
         (SECTIONED, ["average", "--Tb", "inf"], "t_burn"),
+        (SECTIONED, ["zvonkin", "--grid", "9", "--Tb", "1", "--lambda", "nan"],
+         "lambda"),
+        (SECTIONED, ["zvonkin", "--grid", "9", "--Tb", "1", "--lambda", "inf"],
+         "lambda"),
     ], ids=["T-nan", "dt-nan", "dt-inf", "config-dt-nan", "Ta-nan",
-            "dt-frozen-nan", "Tb-inf"])
+            "dt-frozen-nan", "Tb-inf", "zvonkin-lambda-nan", "zvonkin-lambda-inf"])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, cfg_text,
                                               argv, key):
         cfg = tmp_path / "heat.cfg"
@@ -529,6 +558,21 @@ class TestZvonkinCommand:
         assert code == 2
         assert not (tmp_path / "zv.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two_is_config_error(self, cfg_path, tmp_path, capsys,
+                                            monkeypatch, grid):
+        from slowfast_spde import averaging
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated the drift on a refused grid")
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", no_estimate)
+        code = main(["zvonkin", "--config", str(cfg_path), "--grid", grid,
+                     "--out", str(tmp_path / "zv.csv")])
+        assert code == 2
+        assert f"at least 2 points per axis, got {grid}" in capsys.readouterr().err
+        assert not (tmp_path / "zv.csv").exists()
+
     def test_d1_solve_emits_tables(self, cfg_path, tmp_path):
         out = tmp_path / "zv.csv"
         code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",
@@ -544,8 +588,8 @@ class TestZvonkinCommand:
 
 
 def test_simulate_runs_without_importing_scipy(tmp_path):
-    # scipy is imported only by the assumption checker and the Zvonkin
-    # interpolator, so the package, the CLI and a coupled run load none of it
+    # scipy is imported only by the assumption checker, so the package, the
+    # CLI, a coupled run and a Zvonkin solve load none of it
     import subprocess
     import sys
 
@@ -561,6 +605,9 @@ parse_config({str(Path(__file__).parents[1] / "configs" / "heat.cfg")!r})
 code = slowfast_spde.cli.main(["simulate", "--config", sys.argv[1], "--T", "0.002",
                                "--out", sys.argv[2]])
 assert code == 0, code
+code = slowfast_spde.cli.main(["zvonkin", "--config", sys.argv[1], "--grid", "9",
+                               "--Tb", "1", "--out", sys.argv[3]])
+assert code == 0, code
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     cfg = tmp_path / "heat.cfg"
@@ -569,8 +616,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, str(cfg),
-                           str(tmp_path / "path.csv")],
+                           str(tmp_path / "path.csv"), str(tmp_path / "zv.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "path.csv").exists()
+    assert (tmp_path / "path.csv").exists() and (tmp_path / "zv.csv").exists()

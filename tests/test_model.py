@@ -144,6 +144,26 @@ class TestHeatDriftForms:
             else:
                 _drift_coeffs(step.drift_b(y_grid), heat32)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+    def test_scalar_inputs_are_the_formula_bit_for_bit(self, x, y, zero_d):
+        # without ``out`` the drifts allocate their own, so plain floats and
+        # 0-d arrays work as the pointwise formula says
+        args = (np.array(x), np.array(y)) if zero_d else (x, y)
+        a = np.sqrt(np.abs(x))
+        b, f = heat_drift_b(*args), heat_drift_f(*args)
+        assert np.shape(b) == np.shape(f) == ()
+        assert np.asarray(b).tobytes() == np.sin(a + np.sqrt(np.abs(y))).tobytes()
+        assert np.asarray(f).tobytes() == (0.5 * np.cos(a + np.abs(y))).tobytes()
+
+    def test_without_out_the_result_takes_the_broadcast_shape(self, rng):
+        x, y = rng.standard_normal(5), rng.standard_normal((3, 1))
+        a_b, a_f = drift_arguments(x, y)
+        assert np.array_equal(heat_drift_b(x, y), np.sin(a_b))
+        assert np.array_equal(heat_drift_f(x, y), np.multiply(np.cos(a_f), 0.5))
+        assert heat_drift_b(x, y).shape == (3, 5)
+
 
 class TestEmpiricalHolder:
     def test_constant_drift_zero_quotient(self, heat8):

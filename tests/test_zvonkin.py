@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast_spde import zvonkin
 from slowfast_spde.errors import ConfigError, PicardDivergenceError
@@ -178,6 +180,40 @@ class TestPicard:
         with pytest.raises(ConfigError):
             dlambda_curve(g, zero_bbar, KERNEL, [10.0, 1.0])
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_must_be_finite_and_positive(self, axes, lam):
+        g = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+        with pytest.raises(ConfigError, match="finite and positive"):
+            picard_solve(g, zero_bbar, lam, KERNEL)
+
+
+@st.composite
+def grid_functions(draw):
+    """A TruncatedFunction on 1 to 3 uneven axes of 2 to 6 points, with
+    scalar or vector values, and points in and around its box."""
+    d = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(d):
+        n = draw(st.integers(2, 6))
+        steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+        axes.append(draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(steps)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out_shape = draw(st.sampled_from([(), (d,)]))
+    values = rng.standard_normal(tuple(a.size for a in axes) + out_shape)
+    return TruncatedFunction(axes, values), rng.uniform(-8.0, 8.0, (16, d))
+
+
+def hat_basis_reference(f, pts):
+    """Clamped multilinear interpolation as a sum over all grid nodes of the
+    values times the tensor product of np.interp's 1-D hat functions."""
+    out = np.empty((pts.shape[0],) + f.out_shape)
+    for i, p in enumerate(pts):
+        w = np.ones(())
+        for j, ax in enumerate(f.axes):
+            w = np.multiply.outer(w, [np.interp(p[j], ax, e) for e in np.eye(ax.size)])
+        out[i] = np.tensordot(w, f.values, axes=f.dim)
+    return out
+
 
 class TestTruncatedFunction:
     def test_clamping_outside_box(self, axes):
@@ -186,6 +222,51 @@ class TestTruncatedFunction:
         out = f(np.array([[2.0 * r], [-2.0 * r]]))
         assert out[0, 0] == pytest.approx(r)
         assert out[1, 0] == pytest.approx(-r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_functions())
+    def test_matches_the_hat_basis(self, case):
+        f, pts = case
+        assert np.max(np.abs(f(pts) - hat_basis_reference(f, pts)), initial=0.0) <= 1e-12
+        # leading axes of the points are kept, and do not change the values
+        grid = pts.reshape(2, 8, -1)
+        assert np.array_equal(f(grid), f(pts).reshape(grid.shape[:2] + f.out_shape))
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_functions())
+    def test_nodes_return_their_values_exactly(self, case):
+        f, _ = case
+        out = f(f.grid_points())
+        assert np.array_equal(out, f.values.reshape(out.shape))
+
+    def test_reassigned_values_are_read(self, axes):
+        # nothing is cached from the values: a new array is what __call__ reads
+        f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+        pts = np.array([[0.1], [-0.3]])
+        assert np.array_equal(f(pts), pts)
+        f.values = np.ones_like(f.values)
+        assert np.array_equal(f(pts), np.ones((2, 1)))
+        assert f.sup_norm() == 1.0
+
+    @pytest.mark.parametrize("axis", [[0.0, 2.0, 1.0], [1.0, 0.0], [0.0, 1.0, 1.0],
+                                      [0.0, np.nan, 1.0], [0.5], [], [[0.0, 1.0]]],
+                             ids=["unsorted", "decreasing", "repeated", "nan",
+                                  "one-point", "empty", "two-d"])
+    def test_bad_axis_is_config_error(self, axis):
+        axis = np.array(axis)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            TruncatedFunction((np.linspace(0.0, 1.0, 3), axis), np.zeros((3, axis.size)))
+
+        def fn(p):
+            raise AssertionError("tabulated on a refused grid")
+
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            TruncatedFunction.from_callable(fn, (axis,))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_box_axes_need_two_points(self, n):
+        with pytest.raises(ConfigError, match="at least 2 points per axis"):
+            box_axes(KERNEL, n_per_axis=n)
 
     def test_two_dimensional_kernel(self):
         # d = 2 sanity: constants fixed, means decay per axis
