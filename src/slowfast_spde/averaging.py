@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, ErgodicityError
 from .model import ModelConfig
 from .noise import NoiseStream, derive_substream
-from .simulate import _drift_coeffs, _finite, _frozen_fast
+from .simulate import _drift_coeffs, _finite, _frozen_fast, _whole_steps
 from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
 
 __all__ = [
@@ -42,7 +42,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AveragingParams:
-    """Burn-in/averaging horizons, substep and replica count."""
+    """Burn-in/averaging horizons, substep and replica count; ``t_avg`` is
+    a whole number of steps, ``t_burn`` is rounded to the nearest step."""
 
     t_burn: float
     t_avg: float
@@ -60,6 +61,8 @@ class AveragingParams:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, "
                                   f"got {getattr(self, name)}")
+        if _whole_steps(self.t_avg, self.dt, "t_avg") < 1:
+            raise ConfigError(f"t_avg = {self.t_avg:g} is shorter than one step")
         if self.n_replicas < 2:
             raise ConfigError("need at least 2 replicas for an error bar")
 
@@ -134,7 +137,7 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     step = _frozen_fast(config, params.dt)(
         coeffs_to_grid_values(np.repeat(xs, reps, axis=0), m), big)
     n_burn = int(round(params.t_burn / params.dt))
-    n_avg = max(1, int(round(params.t_avg / params.dt)))
+    n_avg = _whole_steps(params.t_avg, params.dt, "t_avg")
 
     # States 0 .. n_burn + n_avg - 1 with one step between neighbours; the
     # last n_avg are sampled.  Projection is linear, so the drift is
@@ -162,8 +165,7 @@ def estimate_bbar(config: ModelConfig, x, params: AveragingParams, seed: int,
     reported standard error (exponential ergodicity).
     """
     x = np.asarray(x, dtype=float)
-    y0b = None if y0 is None else np.asarray(y0, dtype=float)
-    values, stderr = estimate_bbar_batch(config, x[None, :], params, seed, y0=y0b)
+    values, stderr = estimate_bbar_batch(config, x[None, :], params, seed, y0=y0)
     return BbarEstimate(x=x, value=values[0], stderr=float(stderr[0]),
                         params=params, seed=seed)
 
@@ -255,13 +257,13 @@ def _fit_log_decay(times, signal, floor):
 
 
 def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
-                      seed: int, dt: float = 0.02, displacement: float = 3.0,
-                      n_track_modes: int = 3) -> MixingDiagnostic:
+                      seed: int) -> MixingDiagnostic:
     """Measure the relaxation rate of the frozen dynamics at ``x``.
 
-    Starts an ensemble displaced along the first mode and fits the
+    Starts an ensemble displaced by 3 along the first mode, steps it by
+    0.02 (``horizon`` must be a whole number of steps) and fits the
     exponential decay of |E phi(Y_t) - mu(phi)| for phi among the first
-    mode coordinates and the matching components of B(x, .).  The
+    3 mode coordinates and the matching components of B(x, .).  The
     equilibrium value mu(phi) is taken from the final quarter of the
     horizon.  A horizon shorter than the relaxation time (fewer than 4
     usable fit points) is flagged as insufficient data.
@@ -272,13 +274,13 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
         raise ConfigError("need at least 2 replicas for an error bar")
     x = np.asarray(x, dtype=float)
     n = config.n_modes
+    dt, k = 0.02, 3
     y = np.zeros((reps, n))
-    y[:, 0] = displacement
+    y[:, 0] = 3.0
     stream = derive_substream(seed, 0, "mixing", n)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (reps, n)), config.m_points)
     step = _frozen_fast(config, dt)(x_grid, reps)
-    n_steps = int(round(horizon / dt))
-    k = n_track_modes
+    n_steps = _whole_steps(horizon, dt, "horizon")
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
     track_mean = np.empty((n_steps + 1, 2 * k))
     track_var = np.empty((n_steps + 1, 2 * k))

@@ -47,8 +47,8 @@ from .model import check_assumptions
 from .noise import derive_substream
 from .simulate import simulate_slow_fast
 from .spectral import SpectralField, h_norm
-from .zvonkin import (OuKernel, TruncatedFunction, box_axes, check_picard_grid,
-                      resolvent_solutions)
+from .zvonkin import (OuKernel, TruncatedFunction, box_axes, check_lambdas,
+                      check_picard_grid, resolvent_solutions)
 
 _ENV_SEED = "SPDE_SEED"
 
@@ -191,7 +191,7 @@ def cmd_average(args, rc: ResolvedConfig, seed: int):
 
 
 def cmd_check(args, rc: ResolvedConfig, seed: int):
-    report = check_assumptions(rc.model, rc.theta, kappa1=args.kappa1)
+    report = check_assumptions(rc.model, rc.theta, kappa1=args.kappa1, seed=seed)
     print(report.summary())
     outputs = []
     if args.out:
@@ -254,6 +254,7 @@ def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     axes = box_axes(kernel, n_per_axis=args.grid)
     check_picard_grid(tuple(a.shape[0] for a in axes))
     lambdas = sorted(float(v) for v in args.lam.split(","))
+    check_lambdas(lambdas)
     params = _long_burn_params(rc)
 
     def bbar_truncated(points: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ import ast
 import configparser
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,7 +84,10 @@ def parse_drift_expression(expr: str) -> DriftFn:
         )
 
     try:
-        return build(ast.parse(expr, mode="eval"))
+        # a SyntaxWarning (from "1if", say) is raised as a SyntaxError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            return build(ast.parse(expr, mode="eval"))
     # RecursionError: deep nesting; ValueError: a NUL byte before Python 3.12;
     # OverflowError: an integer literal too large for a float
     except (SyntaxError, RecursionError, ValueError, OverflowError) as exc:

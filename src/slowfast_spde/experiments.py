@@ -187,10 +187,9 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepScheme,
                  n_mc: int, seed: int, oracle=None,
-                 oracle_params: AveragingParams | None = None, p: float = 1.0,
-                 target: RateTarget | None = None,
+                 oracle_params: AveragingParams | None = None,
                  theta: float = 0.55) -> ExperimentReport:
-    """Coupled strong error E sup_t |X^eps_t - Xbar_t|^p per eps.
+    """Coupled strong error E sup_t |X^eps_t - Xbar_t|^p, p = 1, per eps.
 
     The averaged path is computed once (it does not depend on eps) and
     every eps reuses the identical slow-noise stream, so per-path
@@ -206,9 +205,8 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
             oracle_params = AveragingParams(t_burn=10.0, t_avg=20.0, dt=0.05,
                                             n_replicas=2)
         oracle = BbarOracle(config, oracle_params, seed=seed)
-    if target is None:
-        target = RateTarget(theta=theta, alpha=config.alpha, beta=config.beta,
-                            gamma=config.gamma)
+    target = RateTarget(theta=theta, alpha=config.alpha, beta=config.beta,
+                        gamma=config.gamma)
 
     x0 = np.zeros((n_mc, n))
     y0 = np.zeros((n_mc, n))
@@ -220,8 +218,7 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
         w1_eps = derive_substream(seed, 0, "W1", n)  # replay, exact coupling
         w2 = derive_substream(seed, 1 + i, "W2", n)
         xs, _ = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1_eps, w2)
-        sup_err = np.max(_norms(xs.states - xbar.states), axis=0)  # (n_mc,)
-        per_eps_paths.append(sup_err**p)
+        per_eps_paths.append(np.max(_norms(xs.states - xbar.states), axis=0))
 
     ests = [float(np.mean(v)) for v in per_eps_paths]
     ses = [float(np.std(v, ddof=1) / math.sqrt(n_mc)) for v in per_eps_paths]
@@ -258,7 +255,7 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
     return ExperimentReport(
         name="strong-convergence", grid=eps_grid, estimates=ests, stderrs=ses,
         slope=fit.slope, slope_ci=fit.ci, target=target.exponent,
-        verdict=verdict, seed=seed, extra={"paired_differences": paired, "p": p,
+        verdict=verdict, seed=seed, extra={"paired_differences": paired, "p": 1.0,
                "delta_rule_examples": {repr(e): target.delta_rule(e)
                                        for e in eps_grid},
                "oracle_stats": getattr(oracle, "stats", None)},
@@ -307,12 +304,11 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
 
 
 def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
-                     seed: int, y_offset_scale: float = 1.0,
-                     x_offset_scales=None, tol: float = 0.1,
+                     seed: int, x_offset_scales=None, tol: float = 0.1,
                      x_base=None) -> ExperimentReport:
     """Pathwise contraction of the frozen dynamics under shared noise.
 
-    Part 1 (equal slow argument): per path a random initial offset
+    Part 1 (equal slow argument): per path a random unit initial offset
     of the fast variable; the squared distance must contract at least
     like e^{-(lambda_1 - L_F) t} pathwise (the shared noise cancels
     exactly), checked at each time in ``t_checks`` with slack ``tol``;
@@ -328,7 +324,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     x = np.zeros((n_mc, n)) if x_base is None else np.broadcast_to(
         np.asarray(x_base, dtype=float), (n_mc, n)).copy()
     dy = rng.standard_normal((n_mc, n))
-    dy *= y_offset_scale / _norms(dy)[:, None]
+    dy *= 1.0 / _norms(dy)[:, None]
     t_checks = sorted(float(t) for t in t_checks)
     check_steps = [_whole_steps(t, dt, "check time") for t in t_checks]
     if len(set(check_steps)) < 2 or check_steps[0] == 0:
@@ -442,36 +438,37 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
 
 
 def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
-                      seed: int, dt: float = 0.02, sample_stride: int = 5,
-                      t_burn: float = 16.0, window: float = 64.0,
+                      seed: int, t_burn: float = 16.0, window: float = 64.0,
                       ) -> ExperimentReport:
     """Stationary autocovariance of B(x, Y_t) against the lag.
 
     After burn-in, records the drift observable along each replica and
     averages <b_{t+lag} - bbar, b_t - bbar> over time origins and
-    replicas.  The fitted exponential rate must reach
-    (lambda_1 - L_F) * beta / 2 within its CI; lags where the signal
-    drops below twice its standard error are excluded from the fit.
+    replicas, stepping by 0.02 and sampling every 5 steps (``t_burn``
+    and ``window`` must be whole multiples of these).  The fitted
+    exponential rate must reach (lambda_1 - L_F) * beta / 2 within its
+    CI; lags where the signal drops below twice its standard error are
+    excluded from the fit.
     """
     n = config.n_modes
+    dt, stride = 0.02, 5
+    dt_s = dt * stride
     x = np.asarray(x, dtype=float)
     stream = derive_substream(seed, 0, "corr", n)
     x_grid = coeffs_to_grid_values(np.broadcast_to(x, (n_mc, n)), config.m_points)
     step = _frozen_fast(config, dt)(x_grid, n_mc)
     y = np.zeros((n_mc, n))
-    for _ in step.states(y, stream, int(round(t_burn / dt))):
+    for _ in step.states(y, stream, _whole_steps(t_burn, dt, "t_burn")):
         pass
 
-    # one drift sample every sample_stride steps, the first at the start
-    n_keep = int(round(window / (dt * sample_stride)))
-    n_steps = (n_keep - 1) * sample_stride
+    # one drift sample every stride steps, the first at the start
+    n_keep = _whole_steps(window, dt_s, "window")
+    n_steps = (n_keep - 1) * stride
     samples = np.empty((n_keep, n_mc, n))
     for i, y_grid in enumerate(step.states(y, stream, n_steps)):
-        if i % sample_stride == 0:
-            samples[i // sample_stride] = _drift_coeffs(step.drift_b(y_grid),
-                                                        config)
+        if i % stride == 0:
+            samples[i // stride] = _drift_coeffs(step.drift_b(y_grid), config)
 
-    dt_s = dt * sample_stride
     n_lags = min(n_keep - 8, int(round(lag_max / dt_s)))
     fluct = samples - samples.mean(axis=(0, 1))
     lags, ests, ses = [], [], []
@@ -496,31 +493,31 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
 
 
 def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
-                 scheme: StepScheme, n_mc: int, seed: int, x0=None, y0=None,
-                 spread_tol: float = 0.20, n_blocks: int = 8) -> ExperimentReport:
+                 scheme: StepScheme, n_mc: int, seed: int,
+                 y0=None) -> ExperimentReport:
     """Uniform-in-eps bound on second moments of both components.
 
     Tabulates the time-sup of E|X_t|^2 and E|Y_t|^2 per eps, with the
-    sup taken over ``n_blocks`` window averages rather than raw time
+    sup taken over 8 window averages rather than raw time
     nodes (a pointwise sup over many noisy node means carries an
     eps-dependent selection bias; window means are the robust
     statistic for a near-constant moment curve).  The uniformity claim
     is about the fast component: its spread (max-min)/mean across the
-    eps grid must stay below ``spread_tol``.  The slow component is
+    eps grid must stay below 0.20.  The slow component is
     only required to stay bounded (its drift feels the fast mixing
     speed, so moderate eps-dependence is real); its spread is
     reported, not gated.
     """
     n = config.n_modes
     eps_grid = [float(e) for e in eps_grid]
-    x0 = np.zeros((n_mc, n)) if x0 is None else np.broadcast_to(
-        np.asarray(x0, dtype=float), (n_mc, n)).copy()
+    spread_tol = 0.20
+    x0 = np.zeros((n_mc, n))
     y0 = np.zeros((n_mc, n)) if y0 is None else np.broadcast_to(
         np.asarray(y0, dtype=float), (n_mc, n)).copy()
 
     def block_sup(states):
         sq = _norms(states) ** 2  # (n_times, n_mc)
-        edges = np.linspace(0, sq.shape[0], n_blocks + 1).astype(int)
+        edges = np.linspace(0, sq.shape[0], 9).astype(int)  # 8 windows
         means, errs = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             per_path = sq[a:b].mean(axis=0)  # (n_mc,)
@@ -556,30 +553,28 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
 
 
 def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
-                        x=None, y_offset_scale: float = 2.0,
                         mixing_horizon: float = 24.0,
                         mixing_replicas: int = 256) -> ExperimentReport:
     """Initial-condition independence of the averaged drift estimate.
 
-    Estimates the averaged drift at ``x`` from two different initial
-    fast states; ergodicity demands agreement within 3 combined
-    standard errors.  Also fits the relaxation rate of the frozen
-    dynamics, which must be at least (lambda_1 - L_F) * beta / 2 within
-    its CI.
+    Estimates the averaged drift at x = 0 from two initial fast states,
+    zero and a random state of norm 2; ergodicity demands agreement
+    within 3 combined standard errors.  Also fits the relaxation rate of
+    the frozen dynamics, which must be at least
+    (lambda_1 - L_F) * beta / 2 within its CI.
     """
     n = config.n_modes
-    x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
+    xs = np.zeros((2, n))
     rng = np.random.default_rng(seed)
     y_alt = rng.standard_normal(n)
-    y_alt *= y_offset_scale / np.linalg.norm(y_alt)
-    xs = np.stack([x, x])
+    y_alt *= 2.0 / np.linalg.norm(y_alt)
     y0 = np.stack([np.zeros(n), y_alt])
     values, errs = estimate_bbar_batch(config, xs, params, seed, y0=y0)
     diff = float(np.linalg.norm(values[0] - values[1]))
     combined = float(math.hypot(errs[0], errs[1]))
     agree = diff <= 3.0 * combined
 
-    diag = mixing_diagnostic(config, x, horizon=mixing_horizon,
+    diag = mixing_diagnostic(config, xs[0], horizon=mixing_horizon,
                              n_replicas=mixing_replicas, seed=seed + 1)
     target = config.spectral_gap * config.beta / 2.0
     rate_ok = (not diag.insufficient_data
@@ -601,31 +596,29 @@ def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
 
 
 def averaged_drift_holder(config: ModelConfig, n_pairs: int,
-                          params: AveragingParams, seed: int,
-                          exponent: float | None = None,
-                          scale_range=(0.75, 1.25), active_modes: int = 8,
-                          stability_tol: float = 0.25) -> ExperimentReport:
+                          params: AveragingParams, seed: int) -> ExperimentReport:
     """Empirical Hoelder quotient of the averaged drift.
 
-    Samples ``2 * n_pairs`` random low-mode pairs (the first half is a
-    prefix of the full set), estimates the averaged drift at every
-    endpoint in one batch, and reports the max quotient
-    |Bbar(x) - Bbar(x')| / |x - x'|^m.  The max must be stable under
-    doubling the pair count (relative change below ``stability_tol``).
+    Samples ``2 * n_pairs`` random pairs in the first 8 modes at
+    distances between 0.75 and 1.25 (the first half is a prefix of the
+    full set), estimates the averaged drift at every endpoint in one
+    batch, and reports the max quotient |Bbar(x) - Bbar(x')| / |x - x'|^m
+    with m = ``config.rough_index``.  The max must be stable under
+    doubling the pair count (relative change below 0.25).
     """
     n = config.n_modes
-    m = config.rough_index if exponent is None else float(exponent)
+    m = config.rough_index
+    stability_tol = 0.25
     rng = np.random.default_rng(seed)
     total = 2 * n_pairs
-    act = min(active_modes, n)
+    act = min(8, n)
     k = np.arange(1, act + 1, dtype=float)
     base = np.zeros((total, n))
     base[:, :act] = rng.standard_normal((total, act)) / k
     direction = np.zeros((total, n))
     direction[:, :act] = rng.standard_normal((total, act)) / k
     direction /= _norms(direction)[:, None]
-    scales = np.exp(rng.uniform(math.log(scale_range[0]),
-                                math.log(scale_range[1]), size=(total, 1)))
+    scales = np.exp(rng.uniform(math.log(0.75), math.log(1.25), size=(total, 1)))
     other = base + scales * direction
 
     points = np.concatenate([base, other], axis=0)

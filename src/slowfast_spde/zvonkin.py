@@ -61,6 +61,7 @@ __all__ = [
     "picard_solve",
     "dlambda_curve",
     "resolvent_solutions",
+    "check_lambdas",
     "check_picard_grid",
     "MAX_PICARD_NODES",
 ]
@@ -281,6 +282,14 @@ def _pair_drift(bbar_vals: np.ndarray, du_vals: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...cj->...c", bbar_vals, du_vals)
 
 
+def check_lambdas(lambdas) -> None:
+    """Reject lambdas that are not finite, positive and strictly increasing."""
+    if not all(0.0 < lam < math.inf for lam in lambdas):
+        raise ConfigError(f"lambdas must be finite and positive, got {lambdas}")
+    if any(b <= a for a, b in zip(lambdas[:-1], lambdas[1:])):
+        raise ConfigError("lambdas must be increasing")
+
+
 def check_picard_grid(grid_shape) -> None:
     """Reject grids whose assembled sweep operators exceed the node cap."""
     n_nodes = math.prod(grid_shape)
@@ -393,8 +402,7 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     :class:`PicardDivergenceError` (increase lambda).  Grids of more
     than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`.
     """
-    if not 0.0 < lam < math.inf:
-        raise ConfigError(f"lambda must be finite and positive, got {lam}")
+    check_lambdas([lam])
     d = kernel.dim
     if g.dim != d:
         raise ConfigError("g and kernel dimensions differ")
@@ -456,8 +464,7 @@ def resolvent_solutions(g: TruncatedFunction, bbar, kernel: OuKernel,
                         lambdas, **solve_kw) -> list[ZvonkinSolution]:
     """One :func:`picard_solve` per lambda; lambdas must strictly increase."""
     lambdas = list(lambdas)
-    if any(b <= a for a, b in zip(lambdas[:-1], lambdas[1:])):
-        raise ConfigError("lambdas must be increasing")
+    check_lambdas(lambdas)
     return [picard_solve(g, bbar, lam, kernel, **solve_kw) for lam in lambdas]
 
 

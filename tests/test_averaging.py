@@ -219,6 +219,11 @@ class TestMixing:
         with pytest.raises(ConfigError, match="at least 2 replicas"):
             mixing_diagnostic(heat, np.zeros(8), horizon=0.2, n_replicas=reps, seed=1)
 
+    def test_horizon_is_whole_steps(self, heat):
+        with pytest.raises(ConfigError, match="horizon = 0.05"):
+            mixing_diagnostic(heat, np.zeros(8), horizon=0.05, n_replicas=4,
+                              seed=1)
+
     def test_short_horizon_flagged(self, heat):
         diag = mixing_diagnostic(heat, np.zeros(8), horizon=0.06,
                                  n_replicas=16, seed=18)
@@ -231,6 +236,15 @@ class TestParamsValidation:
             AveragingParams(t_burn=1.0, t_avg=0.0)
         with pytest.raises(ConfigError):
             AveragingParams(t_burn=1.0, t_avg=1.0, n_replicas=1)
+
+    @pytest.mark.parametrize("t_avg", [0.05, 0.03, 1e-12])
+    def test_averaging_window_is_whole_steps(self, t_avg):
+        # 0.05 at dt = 0.02 used to average round(2.5) = 2 steps
+        with pytest.raises(ConfigError, match="t_avg"):
+            AveragingParams(t_burn=1.0, t_avg=t_avg, dt=0.02)
+
+    def test_burn_in_is_rounded_to_the_nearest_step(self):
+        assert AveragingParams(t_burn=0.05, t_avg=0.04, dt=0.02).t_burn == 0.05
 
     def test_batch_shapes(self, heat, params, rng):
         xs = rng.standard_normal((3, 8)) * 0.2

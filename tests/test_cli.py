@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,6 +145,17 @@ class TestDriftExpressions:
         with pytest.raises(ConfigError, match="cannot parse drift expression"):
             parse_drift_expression(text)
 
+    @pytest.mark.parametrize("action", ["error", "always"])
+    @pytest.mark.parametrize("text", ["1if", "1and x"])
+    def test_syntax_warning_is_config_error(self, text, action):
+        # Python's parser warns "invalid decimal literal" on these; the
+        # warning must not escape as a warning (a stray stderr line)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(ConfigError, match="cannot parse drift expression"):
+                parse_drift_expression(text)
+        assert caught == []
+
     @settings(deadline=None, max_examples=300)
     @example("\x00")
     @example("9" * 400)
@@ -182,6 +194,21 @@ class TestDispatch:
         assert "A6_spectral_gap: holds" in capsys.readouterr().out
         data = json.loads(out.read_text())
         assert data["A6_spectral_gap"]["status"] == "holds"
+
+    def test_check_draws_from_the_run_seed(self, cfg_path, tmp_path):
+        # A1's random field pairs come from the run's seed
+        def run(seed, name):
+            out = tmp_path / name
+            assert main(["check", "--config", str(cfg_path), "--theta", "0.55",
+                         "--seed", seed, "--out", str(out)]) == 0
+            return out
+
+        first, again, other = run("1", "a.json"), run("1", "b.json"), run("2", "c.json")
+        assert first.read_bytes() == again.read_bytes()
+        a1, a1_other = (json.loads(p.read_text())["A1_drift_regularity"]
+                        for p in (first, other))
+        assert a1["witness"]["b_max_quotient"] != a1_other["witness"]["b_max_quotient"]
+        assert a1["status"] == a1_other["status"] == "holds"
 
     def test_check_fails_on_bad_theta(self, cfg_path):
         # theta beyond the admissible trace interval: checker reports fails
@@ -263,6 +290,18 @@ class TestDispatch:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_avg,code", [("0.05", 2), ("0.04", 0)])
+    def test_average_window_is_whole_frozen_steps(self, cfg_path, tmp_path,
+                                                  capsys, t_avg, code):
+        # 0.05 / 0.02 = 2.5 steps is refused, not rounded to 2
+        out = tmp_path / "bbar.csv"
+        assert main(["average", "--config", str(cfg_path), "--x", "zero",
+                     "--Tb", "0.1", "--Ta", t_avg, "--dt-frozen", "0.02",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "t_avg = 0.05 is not a nonnegative multiple" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", ["0.1," * 39 + "0.1", "0.1,nan,0.2", "inf",
                                         "0.1,0.2\n0.3,0.4"],
@@ -543,6 +582,29 @@ class TestZvonkinCommand:
                      "--lambda", "1,1", "--grid", "17",
                      "--out", str(tmp_path / "zv.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("lam", ["1,nan", "1,1"])
+    def test_bad_lambda_refused_before_any_work(self, cfg_path, tmp_path,
+                                                monkeypatch, lam):
+        from slowfast_spde import averaging, zvonkin
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch",
+                            counting("estimate", averaging.estimate_bbar_batch))
+        monkeypatch.setattr(zvonkin, "picard_solve",
+                            counting("solve", zvonkin.picard_solve))
+        code = main(["zvonkin", "--config", str(cfg_path), "--dim", "1",
+                     "--lambda", lam, "--grid", "17",
+                     "--out", str(tmp_path / "zv.csv")])
+        assert code == 2
+        assert calls == []
 
     def test_grid_over_node_cap_is_config_error(self, cfg_path, tmp_path,
                                                 monkeypatch):

@@ -193,6 +193,15 @@ class TestCorrelationDecay:
         assert rep.verdict == "inconclusive"  # no decaying signal to fit
 
 
+    @pytest.mark.parametrize("kw,name", [({"t_burn": 0.05}, "t_burn"),
+                                         ({"window": 1.05}, "window")])
+    def test_horizons_are_whole_steps(self, heat8, kw, name):
+        # t_burn counts steps of 0.02, window sample intervals of 0.1
+        with pytest.raises(ConfigError, match=name):
+            correlation_decay(heat8, np.zeros(8), lag_max=0.5, n_mc=4, seed=1,
+                              **{"t_burn": 0.1, "window": 1.0, **kw})
+
+
 class TestMomentSweep:
     def test_uniform_fast_moments(self, heat):
         rep = moment_sweep(heat, (1e-1, 1e-2, 1e-3), 0.5, StepScheme(2e-3),

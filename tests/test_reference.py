@@ -2,7 +2,9 @@
 
 ``data/frozen_reference.npz`` holds the outputs of every integrator and
 experiment that steps the fast equation with a frozen slow argument,
-plus the log-linear fits, on the N = 8 heat model at short horizons.
+the log-linear fits, reduced-scale reports of the other Monte-Carlo
+experiments and the assumption checker's A1 witnesses, on the N = 8
+heat model at short horizons.
 A refactor that is meant to leave the numbers alone must reproduce
 them to 1e-12 of each array's scale.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_reference.py`` only for a change
@@ -15,9 +17,11 @@ import numpy as np
 
 from slowfast_spde.averaging import (AveragingParams, estimate_bbar_batch,
                                      mixing_diagnostic)
-from slowfast_spde.experiments import (contraction_test, correlation_decay,
-                                       rate_fit)
-from slowfast_spde.model import _TAN_MIN_VALUES, heat_example
+from slowfast_spde.experiments import (aux_fast_error, averaged_drift_holder,
+                                       contraction_test, correlation_decay,
+                                       ergodic_consistency, increment_scaling,
+                                       moment_sweep, rate_fit, strong_error)
+from slowfast_spde.model import _TAN_MIN_VALUES, check_assumptions, heat_example
 from slowfast_spde.noise import derive_substream
 from slowfast_spde.simulate import (StepScheme, simulate_auxiliary_fast,
                                     simulate_frozen, simulate_slow_fast)
@@ -95,6 +99,59 @@ def reference_outputs() -> dict[str, np.ndarray]:
                        ("unweighted", None)):
         fit = rate_fit(scales, ests, errs)
         out[f"rate_fit_{name}"] = np.array([fit.slope, fit.intercept, fit.ci])
+
+    out.update(_experiment_outputs(heat))
+    return out
+
+
+def _report_arrays(name: str, rep, *extra_keys) -> dict[str, np.ndarray]:
+    """A report's estimates, standard errors, fit and named extras."""
+    out = {f"{name}_estimates": np.array(rep.estimates),
+           f"{name}_stderrs": np.array(rep.stderrs),
+           f"{name}_fit": np.array([rep.slope, rep.slope_ci, rep.target])}
+    for key in extra_keys:
+        out[f"{name}_{key}"] = np.array(rep.extra[key], dtype=float)
+    return out
+
+
+def _experiment_outputs(heat) -> dict[str, np.ndarray]:
+    """Reduced-scale reports of the Monte-Carlo experiments and the
+    assumption checker's A1 witnesses."""
+    out = {}
+    scheme = StepScheme(0.01)
+    params = AveragingParams(t_burn=0.2, t_avg=0.4, dt=0.02, n_replicas=2)
+    rep = strong_error(heat, [0.1, 0.05, 0.025], 0.04, scheme, n_mc=6, seed=21,
+                       oracle_params=params)
+    out.update(_report_arrays("strong_error", rep))
+    out["strong_error_paired"] = np.array(
+        [[d["mean_diff"], d["stderr"]] for d in rep.extra["paired_differences"]])
+    out["strong_error_delta_rule"] = np.array(
+        list(rep.extra["delta_rule_examples"].values()))
+
+    deltas = [0.02, 0.04, 0.08]
+    rep = increment_scaling(heat, 0.1, deltas, 0.16, scheme, n_mc=6, seed=22)
+    out.update(_report_arrays("increment_scaling", rep))
+    rep = aux_fast_error(heat, 0.1, deltas, 0.16, scheme, n_mc=6, seed=23)
+    out.update(_report_arrays("aux_fast_error", rep))
+
+    rep = moment_sweep(heat, (0.1, 0.05), 0.16, scheme, n_mc=6, seed=24)
+    out.update(_report_arrays("moment_sweep", rep, "sup_x", "stderr_x",
+                              "spread_x", "spread_y"))
+
+    rep = ergodic_consistency(heat, params, seed=25, mixing_horizon=1.0,
+                              mixing_replicas=16)
+    out.update(_report_arrays("ergodic_consistency", rep, "difference",
+                              "combined_stderr", "mixing_window"))
+
+    rep = averaged_drift_holder(heat, n_pairs=4, params=params, seed=26)
+    out.update(_report_arrays("averaged_drift_holder", rep, "max_change",
+                              "median_quotient", "mean_noise_quotient"))
+
+    witnesses = ("b_max_quotient", "f_max_quotient", "b_sampled_sup",
+                 "f_sampled_sup")
+    for seed in (7, 27):
+        a1 = check_assumptions(heat, 0.5, seed=seed).checks["A1_drift_regularity"]
+        out[f"a1_witnesses_seed_{seed}"] = np.array([a1.witness[k] for k in witnesses])
     return out
 
 

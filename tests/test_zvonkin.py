@@ -180,6 +180,16 @@ class TestPicard:
         with pytest.raises(ConfigError):
             dlambda_curve(g, zero_bbar, KERNEL, [10.0, 1.0])
 
+    @pytest.mark.parametrize("lams", [[1.0, math.nan], [1.0, 1.0], [0.0, 1.0]])
+    def test_lambda_table_refused_before_any_solve(self, axes, lams):
+        g = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+
+        def no_drift(pts):
+            raise AssertionError("solved for a refused lambda table")
+
+        with pytest.raises(ConfigError, match="lambdas must be"):
+            dlambda_curve(g, no_drift, KERNEL, lams)
+
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_lambda_must_be_finite_and_positive(self, axes, lam):
         g = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
