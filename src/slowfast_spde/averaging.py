@@ -12,13 +12,17 @@ bound: bias below ``bias_tol`` requires
 
 :class:`BbarOracle` wraps the estimator as a callable for the
 averaged-equation solver: one batched estimate per call, over the
-call's distinct rows.
+call's distinct rows.  Its first call burns in from y = 0; a later call
+with as many query rows as the last one is warm, as in heterogeneous
+multiscale methods: each row's replicas start from the final replica
+states of the same row in the last call and run no burn-in, since the
+slow state moves little between macro steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -100,9 +104,35 @@ def _require_gap(config: ModelConfig):
         )
 
 
+def _state_counts(params: AveragingParams) -> tuple[int, int]:
+    """Burn-in and sampled states of one frozen path; the path takes one
+    step fewer than it has states."""
+    return (int(round(params.t_burn / params.dt)),
+            _whole_steps(params.t_avg, params.dt, "t_avg"))
+
+
+def _initial_states(y0, n_p: int, reps: int, n: int) -> np.ndarray:
+    """Fresh (P*R, N) starting states from ``y0`` of an accepted shape."""
+    big = n_p * reps
+    if y0 is None:
+        return np.zeros((big, n))
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape == (n,):
+        return np.broadcast_to(y0, (big, n)).copy()
+    if y0.shape == (n_p, n):
+        return np.repeat(y0, reps, axis=0)
+    if y0.shape in ((big, n), (n_p, reps, n)):
+        return y0.reshape(big, n).copy()
+    raise ConfigError(
+        f"y0 has shape {y0.shape}; accepted shapes are (N,), (P, N), "
+        f"(P*R, N) and (P, R, N), here ({n},), ({n_p}, {n}), ({big}, {n}) "
+        f"and ({n_p}, {reps}, {n})")
+
+
 def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingParams,
                         seed: int, y0: np.ndarray | None = None,
-                        stream: NoiseStream | None = None,
+                        stream: NoiseStream | None = None, *,
+                        y_final: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Averaged-drift estimates at a batch of points.
 
@@ -110,7 +140,11 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     Each point gets ``n_replicas`` independent frozen trajectories; the
     replica spread yields the (scalar, L^2-scale) standard error.  The
     whole batch advances as one array, so P and R cost one vectorized
-    step each.
+    step each.  The paths start at ``y0``: zeros by default, else of
+    shape (N,) for every path, (P, N) per point, or (P*R, N) or
+    (P, R, N) per path.  ``y_final``, if given, an array of shape
+    (P*R, N), receives the paths' final states, point by point and
+    replica by replica.
     """
     _require_gap(config)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -119,25 +153,14 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
         raise ConfigError("point dimension does not match config")
     reps = params.n_replicas
     big = n_p * reps
-
-    if y0 is None:
-        y = np.zeros((big, n))
-    else:
-        y0 = np.asarray(y0, dtype=float)
-        if y0.ndim == 1:
-            y = np.broadcast_to(y0, (big, n)).copy()
-        elif y0.shape == (n_p, n):
-            y = np.repeat(y0, reps, axis=0)
-        else:
-            y = y0.reshape(big, n).copy()
+    y = _initial_states(y0, n_p, reps, n)
     if stream is None:
         stream = derive_substream(seed, 0, "bbar", n)
 
     m = config.m_points
     step = _frozen_fast(config, params.dt)(
         coeffs_to_grid_values(np.repeat(xs, reps, axis=0), m), big)
-    n_burn = int(round(params.t_burn / params.dt))
-    n_avg = _whole_steps(params.t_avg, params.dt, "t_avg")
+    n_burn, n_avg = _state_counts(params)
 
     # States 0 .. n_burn + n_avg - 1 with one step between neighbours; the
     # last n_avg are sampled.  Projection is linear, so the drift is
@@ -148,6 +171,8 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
         if i >= n_burn:
             b_grid += step.drift_b(y_grid)
     b_grid /= n_avg
+    if y_final is not None:
+        y_final[...] = y
     per_replica = grid_values_to_coeffs(_finite(b_grid, config, "slow drift"),
                                         n).reshape(n_p, reps, n)
 
@@ -176,10 +201,23 @@ class BbarOracle:
     The k-th call makes one :func:`estimate_bbar_batch` over its distinct
     rows (exact equality, first-occurrence order) on the substream
     ``(seed, k, "bbar")`` and returns each row its identical row's value.
-    Nothing is kept between calls (the averaged drift is only Hoelder in
-    x).  ``stats``: ``calls`` rows queried, ``cache_hits`` rows answered
-    by an identical row's estimate in the same call, ``cached_cells``
-    rows estimated, ``batched_estimates`` estimates made.
+
+    Warm start: the oracle keeps, for every query row of its last call,
+    the final states of the replicas that estimated it (a row repeated in
+    a call gets its first occurrence's states), shaped (rows, R, N).  A
+    call with the same number of query rows is warm: each distinct row
+    starts from the kept states of its first occurrence and runs
+    ``params`` with ``t_burn = 0``.  The first call, and a call whose row
+    count differs from the last call's, is cold: it starts at y = 0 and
+    burns in for the declared ``t_burn``.  Row i of the averaged solver
+    is one path, so its states follow that path's slow state from macro
+    step to macro step.  The kept states live on this instance only; a
+    fresh oracle reproduces a run bit for bit.
+
+    ``stats``: ``calls`` rows queried, ``cache_hits`` rows answered by an
+    identical row's estimate in the same call, ``cached_cells`` rows
+    estimated, ``batched_estimates`` estimates made, ``warm_calls`` of
+    them warm, ``path_steps`` frozen steps run, summed over replica paths.
     """
 
     def __init__(self, config: ModelConfig, params: AveragingParams, seed: int):
@@ -187,9 +225,12 @@ class BbarOracle:
         self.config = config
         self.params = params
         self.seed = int(seed)
+        self._states: np.ndarray | None = None
         self._calls = 0
         self._rows_estimated = 0
         self._estimates = 0
+        self._warm_calls = 0
+        self._path_steps = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -197,14 +238,26 @@ class BbarOracle:
         _, first, inverse = np.unique(xb, axis=0, return_index=True,
                                       return_inverse=True)
         order = np.argsort(first)
+        rows = first[order]
+        warm = self._states is not None and self._states.shape[0] == xb.shape[0]
+        params = replace(self.params, t_burn=0.0) if warm else self.params
+        reps, n = params.n_replicas, self.config.n_modes
+        final = np.empty((rows.size * reps, n))
         vals, _ = estimate_bbar_batch(
-            self.config, xb[first[order]], self.params, seed=self.seed,
-            stream=derive_substream(self.seed, self._estimates, "bbar",
-                                    self.config.n_modes))
+            self.config, xb[rows], params, seed=self.seed,
+            y0=self._states[rows] if warm else None,
+            stream=derive_substream(self.seed, self._estimates, "bbar", n),
+            y_final=final)
+        # each query row's index among the estimated rows
+        slot = np.argsort(order)[inverse.reshape(-1)]
+        self._states = final.reshape(rows.size, reps, n)[slot]
+        n_burn, n_avg = _state_counts(params)
         self._calls += xb.shape[0]
-        self._rows_estimated += order.size
+        self._rows_estimated += rows.size
         self._estimates += 1
-        out = vals[np.argsort(order)[inverse.reshape(-1)]]
+        self._warm_calls += warm
+        self._path_steps += rows.size * reps * (n_burn + n_avg - 1)
+        out = vals[slot]
         return out[0] if x.ndim == 1 else out
 
     @property
@@ -212,7 +265,9 @@ class BbarOracle:
         return {"calls": self._calls,
                 "cache_hits": self._calls - self._rows_estimated,
                 "cached_cells": self._rows_estimated,
-                "batched_estimates": self._estimates}
+                "batched_estimates": self._estimates,
+                "warm_calls": self._warm_calls,
+                "path_steps": self._path_steps}
 
 
 @dataclass

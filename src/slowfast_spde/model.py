@@ -135,6 +135,16 @@ heat_drift_b.x_part = sqrt_abs
 heat_drift_f.x_part = sqrt_abs
 
 
+def _check_grid(n_modes: int, m_points: int):
+    if m_points < n_modes:
+        raise ConfigError(f"m_points={m_points} must be >= n_modes={n_modes}")
+    if n_modes * m_points > MAX_TRANSFORM_SIZE:
+        raise ConfigError(
+            f"n_modes * m_points = {n_modes * m_points} exceeds "
+            f"{MAX_TRANSFORM_SIZE}, past which the dense sine transforms are slow"
+        )
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """All coefficients of the two-scale system; immutable after build.
@@ -178,15 +188,7 @@ class ModelConfig:
             raise ConfigError("l_f must be nonnegative")
         if not (math.isfinite(self.bound_b) and math.isfinite(self.bound_f)):
             raise ConfigError("drift bounds must be finite")
-        if self.m_points < self.n_modes:
-            raise ConfigError(
-                f"m_points={self.m_points} must be >= n_modes={self.n_modes}"
-            )
-        if self.n_modes * self.m_points > MAX_TRANSFORM_SIZE:
-            raise ConfigError(
-                f"n_modes * m_points = {self.n_modes * self.m_points} exceeds "
-                f"{MAX_TRANSFORM_SIZE}, past which the dense sine transforms are slow"
-            )
+        _check_grid(self.n_modes, self.m_points)
         if self.eigs.n_modes < self.n_modes:
             raise ConfigError("operator spectrum shorter than n_modes")
 
@@ -218,6 +220,8 @@ def heat_example(r1: float, r2: float, n_modes: int, m_points: int | None = None
         raise ConfigError("n_modes must be positive")
     if m_points is None:
         m_points = 2 * n_modes
+    # before the spectra are allocated: a config can ask for 10^9 modes
+    _check_grid(n_modes, m_points)
     k = np.arange(1, n_modes + 1, dtype=float)
     eigs = OperatorSpectrum(k**2, growth_exponent=2.0, growth_coefficient=1.0)
     return ModelConfig(

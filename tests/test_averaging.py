@@ -11,6 +11,7 @@ from slowfast_spde.averaging import (AveragingParams, BbarOracle,
 from slowfast_spde.errors import ConfigError, ErgodicityError, IntegrationError
 from slowfast_spde.model import heat_example
 from slowfast_spde.noise import NoiseSpectrum, conv_increment_law, derive_substream
+from slowfast_spde.simulate import simulate_frozen
 from slowfast_spde.spectral import PI, coeffs_to_grid_values, grid_values_to_coeffs
 
 
@@ -98,6 +99,41 @@ class TestEstimate:
         assert np.max(np.abs(values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
         assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12 * np.max(ref_stderr)
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 8), (4, 8), (2, 2, 8)])
+    def test_accepted_initial_state_shapes(self, heat, rng, shape):
+        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2)
+        xs = rng.standard_normal((2, 8)) * 0.5
+        y0 = rng.standard_normal(shape)
+        if shape == (8,):
+            per_path = np.tile(y0, (4, 1))
+        elif shape == (2, 8):
+            per_path = np.repeat(y0, 2, axis=0)
+        else:
+            per_path = y0.reshape(4, 8)
+        got = estimate_bbar_batch(heat, xs, params, seed=22, y0=y0)
+        want = estimate_bbar_batch(heat, xs, params, seed=22, y0=per_path)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("shape", [(3, 8), (1, 8), (4, 7), (2, 8, 1)])
+    def test_rejects_other_initial_state_shapes(self, heat, shape):
+        # P = 2 points, R = 2 replicas, N = 8 modes
+        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2)
+        with pytest.raises(ConfigError, match=r"y0 has shape .*\(P, R, N\)"):
+            estimate_bbar_batch(heat, np.zeros((2, 8)), params, seed=22,
+                                y0=np.zeros(shape))
+
+    def test_final_states_are_the_frozen_paths_last_states(self, heat, rng):
+        # one point, three replicas: the same draws as three frozen paths
+        params = AveragingParams(t_burn=0.2, t_avg=0.4, dt=0.02, n_replicas=3)
+        x = rng.standard_normal(8) * 0.5
+        y0 = rng.standard_normal((3, 8))
+        final = np.empty((3, 8))
+        estimate_bbar_batch(heat, x[None, :], params, seed=23, y0=y0,
+                            y_final=final)
+        paths = simulate_frozen(heat, x, y0, (10 + 20 - 1) * 0.02, 0.02,
+                                derive_substream(23, 0, "bbar", 8))
+        assert np.array_equal(final, paths.states[-1])
+
     @pytest.mark.parametrize("bad_call,bad", [
         pytest.param(3, np.nan, id="time-average-3-nan"),
         pytest.param(5, np.inf, id="time-average-5-inf"),
@@ -124,11 +160,18 @@ class TestEstimate:
         assert p.t_burn == pytest.approx(2.0 / gap_beta * np.log(1e3))
 
 
-def oracle_call_estimate(oracle, k, xs):
-    """What the oracle's k-th call must return at the distinct rows xs."""
-    n = oracle.config.n_modes
-    return estimate_bbar_batch(oracle.config, xs, oracle.params, oracle.seed,
-                               stream=derive_substream(oracle.seed, k, "bbar", n))
+def oracle_call_estimate(oracle, k, xs, y0=None):
+    """What the oracle's k-th call must return at the distinct rows xs:
+    cold (y = 0, declared burn-in) without ``y0``, warm (no burn-in) from
+    the replica states ``y0`` (P, R, N).  Returns (values, stderr, final
+    replica states (P, R, N))."""
+    n, reps = oracle.config.n_modes, oracle.params.n_replicas
+    params = oracle.params if y0 is None else replace(oracle.params, t_burn=0.0)
+    final = np.empty((xs.shape[0] * reps, n))
+    values, stderr = estimate_bbar_batch(
+        oracle.config, xs, params, oracle.seed, y0=y0,
+        stream=derive_substream(oracle.seed, k, "bbar", n), y_final=final)
+    return values, stderr, final.reshape(xs.shape[0], reps, n)
 
 
 class TestOracle:
@@ -136,7 +179,7 @@ class TestOracle:
         oracle = BbarOracle(heat, params, seed=11)
         x = np.full(8, 0.1)
         v = oracle(x)
-        values, stderr = oracle_call_estimate(oracle, 0, x[None, :])
+        values, stderr, _ = oracle_call_estimate(oracle, 0, x[None, :])
         assert np.array_equal(v, values[0])
         fresh = estimate_bbar(heat, x, params, seed=12)
         tol = 3.0 * np.hypot(stderr[0], fresh.stderr)
@@ -144,16 +187,20 @@ class TestOracle:
 
     def test_holder_consistency_of_oracle(self, heat, params, rng):
         # |oracle(x) - oracle(x')| <= C |x-x'|^(1/4) + 6*stderr on random
-        # pairs; C = 2.5 calibrated once on this seed and frozen
+        # pairs; C = 2.5 calibrated once on this seed and frozen.  Every
+        # call has one row, so every call after the first is warm.
         oracle = BbarOracle(heat, params, seed=14)
         m = heat.rough_index
+        states = None
         for i in range(10):
             x = rng.standard_normal(8) * 0.5
             dx = rng.standard_normal(8)
             dx *= rng.uniform(0.3, 1.5) / np.linalg.norm(dx)
             v1, v2 = oracle(x), oracle(x + dx)
-            (e1,), (s1,) = oracle_call_estimate(oracle, 2 * i, x[None, :])
-            (e2,), (s2,) = oracle_call_estimate(oracle, 2 * i + 1, (x + dx)[None, :])
+            (e1,), (s1,), states = oracle_call_estimate(oracle, 2 * i, x[None, :],
+                                                        states)
+            (e2,), (s2,), states = oracle_call_estimate(
+                oracle, 2 * i + 1, (x + dx)[None, :], states)
             assert np.array_equal(v1, e1) and np.array_equal(v2, e2)
             lhs = np.linalg.norm(v1 - v2)
             assert lhs <= 2.5 * np.linalg.norm(dx) ** m + 6.0 * max(s1, s2)
@@ -176,10 +223,63 @@ class TestOracle:
         out = oracle(xb)
         assert len(batches) == 2
         assert np.array_equal(batches[1], np.stack([b, a, c]))
-        values, _ = oracle_call_estimate(oracle, 1, np.stack([b, a, c]))
+        # the row count changed (1, then 6), so both calls are cold
+        values, _, _ = oracle_call_estimate(oracle, 1, np.stack([b, a, c]))
         assert np.array_equal(out, values[[0, 1, 0, 2, 1, 0]])
         assert oracle.stats == {"calls": 7, "cache_hits": 3, "cached_cells": 4,
-                                "batched_estimates": 2}
+                                "batched_estimates": 2, "warm_calls": 0,
+                                "path_steps": 4 * 4 * (400 + 1200 - 1)}
+
+    def test_warm_calls_start_from_the_kept_states(self, heat, rng):
+        params = AveragingParams(t_burn=0.2, t_avg=0.4, dt=0.02, n_replicas=2)
+        oracle = BbarOracle(heat, params, seed=17)
+        # call 0 (cold): six identical rows, estimated once; every row
+        # keeps the estimated row's replica states
+        out = oracle(np.zeros((6, 8)))
+        values, _, kept = oracle_call_estimate(oracle, 0, np.zeros((1, 8)))
+        assert np.array_equal(out, np.repeat(values, 6, axis=0))
+        # call 1 (warm, six rows again): the distinct rows b, a, c start
+        # from the states of their first occurrences, rows 0, 1 and 3
+        a, b, c = rng.standard_normal((3, 8)) * 0.2
+        out = oracle(np.stack([b, a, b, c, a, b]))
+        values, _, final = oracle_call_estimate(oracle, 1, np.stack([b, a, c]),
+                                                np.repeat(kept, 3, axis=0))
+        assert np.array_equal(out, values[[0, 1, 0, 2, 1, 0]])
+        # call 2 (warm): six new rows, row i from the states row i kept
+        xs = rng.standard_normal((6, 8)) * 0.2
+        out = oracle(xs)
+        values, _, _ = oracle_call_estimate(oracle, 2, xs,
+                                            final[[0, 1, 0, 2, 1, 0]])
+        assert np.array_equal(out, values)
+        # call 3 (cold): a different row count burns in from y = 0 again
+        out = oracle(xs[:2])
+        values, _, _ = oracle_call_estimate(oracle, 3, xs[:2])
+        assert np.array_equal(out, values)
+        # 10 burn-in and 20 sampled states, one step fewer than states
+        assert oracle.stats == {"calls": 20, "cache_hits": 8, "cached_cells": 12,
+                                "batched_estimates": 4, "warm_calls": 2,
+                                "path_steps": 2 * (1 * 29 + 3 * 19 + 6 * 19
+                                                   + 2 * 29)}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_estimate_agrees_with_cold(self, heat, seed):
+        # criterion 10's frozen horizons with 16 replicas; x_{k+1} lies one
+        # typical macro-step move (|dx| = 0.17) from x_k, the warm call
+        # starts from x_k's replica states and runs no burn-in
+        params = AveragingParams(t_burn=8.0, t_avg=24.0, dt=0.1, n_replicas=16)
+        rng = np.random.default_rng(seed)
+        xk = rng.standard_normal((4, 8)) * 0.25
+        dx = rng.standard_normal((4, 8))
+        x1 = xk + 0.17 * dx / np.linalg.norm(dx, axis=1, keepdims=True)
+        oracle = BbarOracle(heat, params, seed=seed)
+        oracle(xk)
+        warm = oracle(x1)
+        _, _, kept = oracle_call_estimate(oracle, 0, xk)
+        values, stderr, _ = oracle_call_estimate(oracle, 1, x1, kept)
+        assert np.array_equal(warm, values)
+        cold, cold_stderr = estimate_bbar_batch(heat, x1, params, seed=seed + 100)
+        diff = np.linalg.norm(warm - cold, axis=1)
+        assert np.all(diff <= 2.0 * np.hypot(stderr, cold_stderr))
 
     def test_batched_call_shape(self, heat, params, rng):
         oracle = BbarOracle(heat, params, seed=15)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowfast_spde.cli import main
-from slowfast_spde.config import (MAX_DRIFT_DEPTH, parse_config,
-                                  parse_drift_expression)
+from slowfast_spde.config import (_KEYS, MAX_DRIFT_DEPTH, ResolvedConfig,
+                                  parse_config, parse_drift_expression)
 from slowfast_spde.errors import ConfigError
 
 MINIMAL = "model = heat_example\nr1 = 0.1\nr2 = 0.1\nn_modes = 32\n"
@@ -94,6 +95,28 @@ class TestParseConfig:
         p.write_text(MINIMAL + "bogus_knob = 3\n")
         with pytest.raises(ConfigError, match="bogus_knob"):
             parse_config(p)
+
+    @settings(deadline=None, max_examples=300)
+    @example({"n_modes": "1000000000"})
+    @example({"n_modes": "1000000000", "m_points": "-1"})
+    @example({"m_points": "9" * 5000})
+    @given(st.dictionaries(
+        st.sampled_from(sorted(_KEYS)),
+        st.one_of(st.text(), st.text(alphabet="0123456789.-+e_ infa[]=#;\n"),
+                  st.integers(-10, 300).map(str), st.floats(-1, 2).map(repr))))
+    def test_whole_file_is_config_or_config_error(self, values):
+        # any mapping of known keys to arbitrary text: a ConfigError or a
+        # resolved config, never another exception
+        text = "".join(f"{key} = {raw}\n" for key, raw in values.items())
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "fuzz.cfg"
+            path.write_text(text, encoding="utf-8")
+            try:
+                rc = parse_config(path)
+            except ConfigError:
+                return
+        assert isinstance(rc, ResolvedConfig)
+        assert sorted(rc.echo) == sorted(_KEYS)
 
     def test_drift_expression_override(self, tmp_path):
         p = tmp_path / "expr.cfg"

@@ -11,9 +11,10 @@ from slowfast_spde.experiments import (RateTarget, aux_fast_error,
                                        contraction_test, correlation_decay,
                                        ergodic_consistency, increment_scaling,
                                        moment_sweep, rate_fit, strong_error)
-from slowfast_spde.averaging import AveragingParams, mixing_diagnostic
+from slowfast_spde.averaging import (AveragingParams, estimate_bbar_batch,
+                                     mixing_diagnostic)
 from slowfast_spde.model import heat_example
-from slowfast_spde.noise import NoiseSpectrum
+from slowfast_spde.noise import NoiseSpectrum, derive_substream
 from slowfast_spde.simulate import StepScheme
 from slowfast_spde.spectral import (coeffs_to_grid_values, grid_points,
                                     grid_values_to_coeffs)
@@ -264,6 +265,60 @@ class TestStrongError:
         assert rep.slope - rep.slope_ci > 0
         for d in rep.extra["paired_differences"]:
             assert d["mean_diff"] > -1.96 * d["stderr"]
+
+
+class ColdOracle:
+    """Reference oracle without warm start: the k-th call estimates every
+    row from y = 0 with the declared burn-in, on substream (seed, k)."""
+
+    def __init__(self, config, params, seed):
+        self.config, self.params, self.seed, self.k = config, params, seed, 0
+
+    def __call__(self, x):
+        n = self.config.n_modes
+        values, _ = estimate_bbar_batch(
+            self.config, x, self.params, self.seed,
+            stream=derive_substream(self.seed, self.k, "bbar", n))
+        self.k += 1
+        return values
+
+
+class TestStrongErrorWarmOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_and_cold_oracles_agree(self, seed):
+        # criterion 10's frozen horizons at a reduced scale: 50 macro
+        # steps, so 49 warm calls after the cold first one
+        heat8 = heat_example(0.1, 0.1, 8)
+        params = AveragingParams(t_burn=8.0, t_avg=24.0, dt=0.1, n_replicas=2)
+        eps, scheme = [1e-1, 3e-2, 1e-2], StepScheme(2e-3)
+        warm = strong_error(heat8, eps, 0.1, scheme, n_mc=16, seed=seed,
+                            oracle_params=params)
+        cold = strong_error(heat8, eps, 0.1, scheme, n_mc=16, seed=seed,
+                            oracle=ColdOracle(heat8, params, seed))
+        for ew, sw, ec, sc in zip(warm.estimates, warm.stderrs, cold.estimates,
+                                  cold.stderrs, strict=True):
+            assert abs(ew - ec) <= 2.0 * np.hypot(sw, sc)
+        # one cold call at the 16 identical x0 rows (80 burn-in and 240
+        # sampled states), then 16 distinct rows of 240 sampled states
+        stats = warm.extra["oracle_stats"]
+        assert stats["batched_estimates"] == 50 and stats["warm_calls"] == 49
+        assert stats["path_steps"] == 2 * (319 + 49 * 16 * 239)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("t_final", [0.04, 0.2])
+    def test_wrong_effective_drift_does_not_pass(self, t_final, seed):
+        # negative control: B(x, 0) projected, with no averaging over the
+        # fast law, is not the effective drift, so the strong error of the
+        # coupled paths must not be certified as converging
+        heat8 = heat_example(0.1, 0.1, 8)
+
+        def b_at_rest(x):
+            xg = coeffs_to_grid_values(x, heat8.m_points)
+            return grid_values_to_coeffs(heat8.drift_b(xg, np.zeros_like(xg)), 8)
+
+        rep = strong_error(heat8, [1e-1, 3e-2, 1e-2, 3e-3], t_final,
+                           StepScheme(2e-3), n_mc=32, seed=seed, oracle=b_at_rest)
+        assert rep.verdict != "pass"
 
 
 class TestErgodicAndHolder:
