@@ -75,12 +75,8 @@ class AveragingParams:
                   t_avg: float = 40.0, dt: float = 0.02, n_replicas: int = 4,
                   ) -> "AveragingParams":
         """Burn-in from the exponential-mixing bound at target bias."""
-        gap = config.spectral_gap
-        if gap <= 0:
-            raise ErgodicityError(
-                f"spectral gap lambda_1 - L_F = {gap:g} is not positive"
-            )
-        t_burn = 2.0 / (gap * config.beta) * math.log(1.0 / bias_tol)
+        _require_gap(config)
+        t_burn = 2.0 / (config.spectral_gap * config.beta) * math.log(1.0 / bias_tol)
         return cls(t_burn=t_burn, t_avg=t_avg, dt=dt, n_replicas=n_replicas)
 
 

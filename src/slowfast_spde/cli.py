@@ -218,15 +218,15 @@ def cmd_verify(args, rc: ResolvedConfig, seed: int):
     # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
     n_mc = None if args.lemma == "ergodicity" else _n_mc(rc)
     model, scheme, theta = rc.model, rc.scheme, rc.theta
+    # freezing blocks of 64, 32, 16, 8 and 4 macro steps
+    deltas = [scheme.dt_macro * 2.0**k for k in range(6, 1, -1)]
     if args.lemma == "contraction":
         report = contraction_test(model, t_checks=(1.0, 2.0, 4.0), dt=0.01,
                                   n_mc=n_mc, seed=seed)
     elif args.lemma == "increments":
-        deltas = [2.0**-k for k in range(4, 9)]
         report = increment_scaling(model, _eps(rc), deltas, rc.t_final, scheme,
                                    n_mc, seed, theta=theta)
     elif args.lemma == "aux-fast":
-        deltas = [2.0**-k for k in range(4, 9)]
         report = aux_fast_error(model, _eps(rc), deltas, rc.t_final, scheme,
                                 n_mc, seed, theta=theta)
     elif args.lemma == "correlation":

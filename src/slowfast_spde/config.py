@@ -14,7 +14,9 @@ nested at most ``MAX_DRIFT_DEPTH`` (100) deep; they are compiled to
 vectorized grid evaluators.  A division by zero such as
 ``1/(x-x)`` is not rejected here: it evaluates to inf or NaN, which the
 assumption checker reports as A1 failing and every integrator rejects
-with the grid point named.  Regularity constants for overridden
+with the grid point named.  Constants are numpy float64, so a constant
+division by zero such as ``1/0`` gives inf (with numpy's divide
+warning) rather than a crash.  Regularity constants for overridden
 drifts should be declared via the alpha/beta/gamma/l_f/bound_b/bound_f
 keys.  Float values must be finite.
 """
@@ -37,6 +39,8 @@ from .simulate import StepScheme
 
 __all__ = ["ResolvedConfig", "parse_config", "parse_drift_expression"]
 
+# numpy scalars: a constant division by zero gives inf, as on the grid
+_PI = np.float64(math.pi)
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "abs": np.abs}
 _ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                    ast.Mult: operator.mul, ast.Div: operator.truediv}
@@ -55,7 +59,7 @@ def parse_drift_expression(expr: str) -> DriftFn:
         if isinstance(node, ast.Expression):
             return build(node.body, depth)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            v = float(node.value)
+            v = np.float64(node.value)
             return lambda x, y: v
         if isinstance(node, ast.Name):
             if node.id == "x":
@@ -63,7 +67,7 @@ def parse_drift_expression(expr: str) -> DriftFn:
             if node.id == "y":
                 return lambda x, y: y
             if node.id == "pi":
-                return lambda x, y: math.pi
+                return lambda x, y: _PI
             raise ConfigError(f"unknown name {node.id!r} in drift expression")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             inner = build(node.operand, depth + 1)

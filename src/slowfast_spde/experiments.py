@@ -180,6 +180,25 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, axis=-1)
 
 
+def _mean_stderr(per_path: np.ndarray) -> tuple[float, float]:
+    """Mean of per-path values and its standard error."""
+    return (float(np.mean(per_path)),
+            float(np.std(per_path, ddof=1) / math.sqrt(per_path.shape[0])))
+
+
+def _coupled_steps(step_a, step_b, ya: np.ndarray, yb: np.ndarray, stream,
+                   n_steps: int):
+    """Synchronous coupling: steps ``ya`` by ``step_a`` and ``yb`` by
+    ``step_b`` in place on one shared draw of ``stream`` per step, and
+    yields the step count 1 .. n_steps after each step."""
+    z = np.empty(ya.shape)
+    for i in range(1, n_steps + 1):
+        stream.standard_normals(ya.shape[0], out=z)
+        step_a(ya, z)
+        step_b(yb, z)
+        yield i
+
+
 # ----------------------------------------------------------------------
 # experiments
 # ----------------------------------------------------------------------
@@ -220,15 +239,14 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
         xs, _ = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1_eps, w2)
         per_eps_paths.append(np.max(_norms(xs.states - xbar.states), axis=0))
 
-    ests = [float(np.mean(v)) for v in per_eps_paths]
-    ses = [float(np.std(v, ddof=1) / math.sqrt(n_mc)) for v in per_eps_paths]
+    ests, ses = map(list, zip(*map(_mean_stderr, per_eps_paths)))
 
     # paired differences check monotone decrease as eps decreases
     monotone = True
     paired = []
     for i in range(len(eps_grid) - 1):
-        d = per_eps_paths[i + 1] - per_eps_paths[i]  # larger eps minus smaller
-        md, sd = float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(n_mc))
+        # larger eps minus smaller
+        md, sd = _mean_stderr(per_eps_paths[i + 1] - per_eps_paths[i])
         paired.append({"eps_small": eps_grid[i], "eps_large": eps_grid[i + 1],
                        "mean_diff": md, "stderr": sd})
         if md < -1.96 * sd:  # error grew when eps grew: non-monotone beyond CI
@@ -291,8 +309,9 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
     for block in blocks:
         frozen = xs.states[(idx // block) * block]
         integ = dt * np.sum(_norms(xs.states - frozen) ** 2, axis=0)  # (n_mc,)
-        ests.append(float(np.mean(integ)))
-        ses.append(float(np.std(integ, ddof=1) / math.sqrt(n_mc)))
+        est, se = _mean_stderr(integ)
+        ests.append(est)
+        ses.append(se)
     fit = rate_fit(list(delta_grid), ests, ses)
     target = 0.8 * theta
     return ExperimentReport(
@@ -338,11 +357,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     ya, yb = np.zeros((n_mc, n)), dy.copy()
     d0 = _norms(dy) ** 2
     ratios = {}
-    z = np.empty((n_mc, n))
-    for i in range(1, n_steps + 1):
-        stream.standard_normals(n_mc, out=z)  # shared by both ensembles
-        step(ya, z)
-        step(yb, z)
+    for i in _coupled_steps(step, step, ya, yb, stream, n_steps):
         if i in check_steps:
             ratios[i] = _norms(ya - yb) ** 2 / d0
 
@@ -352,8 +367,9 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
         r = ratios[i]
         bound = math.exp(-gap * t) * (1.0 + tol)
         violations += int(np.sum(r > bound))
-        ests.append(float(np.mean(r)))
-        ses.append(float(np.std(r, ddof=1) / math.sqrt(n_mc)))
+        est, se = _mean_stderr(r)
+        ests.append(est)
+        ses.append(se)
         worst.append(float(np.max(r)))
 
     # fitted decay rate of the mean squared distance (semilog in t)
@@ -372,14 +388,11 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
                 freeze(coeffs_to_grid_values(np.broadcast_to(xc, (n_mc, n)),
                                              config.m_points), n_mc)
                 for xc in (xa, xb))
-            wa = derive_substream(seed, 1, "W2", n)
             ya2 = np.zeros((n_mc, n))
             yb2 = np.zeros((n_mc, n))
             acc, count = 0.0, 0
-            for i in range(1, n_steps + 1):
-                wa.standard_normals(n_mc, out=z)
-                step_a(ya2, z)
-                step_b(yb2, z)
+            for i in _coupled_steps(step_a, step_b, ya2, yb2,
+                                    derive_substream(seed, 1, "W2", n), n_steps):
                 if i * dt > 0.5 * t_final:
                     acc += float(np.mean(_norms(ya2 - yb2) ** 2))
                     count += 1
@@ -418,8 +431,9 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
         yhat = simulate_auxiliary_fast(config, eps, xs, float(d), y0, scheme,
                                        w2.replay())
         integ = dt * np.sum(_norms(ys.states - yhat.states) ** 2, axis=0)
-        ests.append(float(np.mean(integ)))
-        ses.append(float(np.std(integ, ddof=1) / math.sqrt(n_mc)))
+        est, se = _mean_stderr(integ)
+        ests.append(est)
+        ses.append(se)
     target = 0.8 * theta * config.gamma
     if max(ests) < 1e-12:
         # drift independent of the slow argument: freezing changes nothing
@@ -474,10 +488,10 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     lags, ests, ses = [], [], []
     for li in range(n_lags + 1):
         prod = np.sum(fluct[li:] * fluct[: n_keep - li], axis=-1)  # (T-l, n_mc)
-        per_rep = prod.mean(axis=0)
+        est, se = _mean_stderr(prod.mean(axis=0))  # per replica
         lags.append(li * dt_s)
-        ests.append(float(np.mean(per_rep)))
-        ses.append(float(np.std(per_rep, ddof=1) / math.sqrt(n_mc)))
+        ests.append(est)
+        ses.append(se)
 
     # the fit window ends where the signal drops below 2 ses = 4 * (ses / 2)
     fitted, ci, cut = _fit_log_decay(np.asarray(lags), np.asarray(ests),
@@ -518,13 +532,9 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
     def block_sup(states):
         sq = _norms(states) ** 2  # (n_times, n_mc)
         edges = np.linspace(0, sq.shape[0], 9).astype(int)  # 8 windows
-        means, errs = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            per_path = sq[a:b].mean(axis=0)  # (n_mc,)
-            means.append(float(per_path.mean()))
-            errs.append(float(per_path.std(ddof=1) / math.sqrt(n_mc)))
-        j = int(np.argmax(means))
-        return means[j], errs[j]
+        windows = [_mean_stderr(sq[a:b].mean(axis=0))
+                   for a, b in zip(edges[:-1], edges[1:])]
+        return windows[int(np.argmax([m for m, _ in windows]))]
 
     sup_x, sup_y, se_x, se_y = [], [], [], []
     for i, eps in enumerate(eps_grid):

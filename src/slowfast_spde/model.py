@@ -39,7 +39,8 @@ with numpy 2.4; where np.tan has no AVX-512 loop (numpy's
 the large-field forms may be the slower ones.
 
 :func:`check_assumptions` verifies the dissipativity/trace conditions
-that the averaging theory needs.  For diagonal power-law spectra every
+that the averaging theory needs.  It reads the power laws that the
+spectra declare (a spectrum without one is refused), for which every
 series and integral has a closed per-mode form; the checker stores a
 finite witness for each "holds" verdict (partial sum plus an
 Euler-Maclaurin tail bound, or a quadrature value with an analytic
@@ -288,33 +289,6 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _fit_power_law(values: np.ndarray) -> tuple[float, float]:
-    """Fit values_k ~ coef * k^p on the top half of the index range."""
-    n = values.shape[0]
-    lo = max(1, n // 2)
-    k = np.arange(lo, n + 1, dtype=float)
-    v = np.asarray(values[lo - 1 :], dtype=float)
-    if np.any(v <= 0) or n < 4:
-        return float(v[-1]) if v.size else 0.0, 0.0
-    slope, intercept = np.polyfit(np.log(k), np.log(v), 1)
-    return float(np.exp(intercept)), float(slope)
-
-
-def _spectrum_rule(eigs: OperatorSpectrum) -> tuple[float, float]:
-    """(coef, power) with lambda_k ~ coef * k^power, exact when declared."""
-    if eigs.growth_exponent is not None:
-        return float(eigs.growth_coefficient), float(eigs.growth_exponent)
-    return _fit_power_law(eigs.eigenvalues)
-
-
-def _noise_rule(spec: NoiseSpectrum) -> tuple[float, float]:
-    """(coef, power) with q_k ~ coef * k^{-power}."""
-    if spec.decay_exponent is not None:
-        return 1.0, 2.0 * float(spec.decay_exponent)
-    coef, p = _fit_power_law(spec.q)
-    return coef, -p
-
-
 def _power_series_tail(coef: float, p: float, k_from: int) -> float:
     """Euler-Maclaurin bound for sum_{k > k_from} coef * k^{-p}; inf if p <= 1."""
     if p <= 1.0:
@@ -330,9 +304,10 @@ def _sup_scaled_ou_factor(rho: float, extra: float = 0.0) -> float:
     return float(np.max(vals))
 
 
-def _lambda_norm(t: np.ndarray, a_lam: float, p_lam: float, a_q: float, p_q: float,
+def _lambda_norm(t: np.ndarray, a_lam: float, p_lam: float, p_q: float,
                  extra: float = 0.0) -> np.ndarray:
-    """Operator norm of lambda^extra * Q(t)^{-1/2} e^{tA} for diagonal spectra.
+    """Operator norm of lambda^extra * Q(t)^{-1/2} e^{tA} for the power laws
+    lambda_k = a_lam k^p_lam and q_k = k^-p_q.
 
     Per mode the value is lambda^extra * sqrt(2 lambda / q) * e^{-lambda t}
     / sqrt(1 - e^{-2 lambda t}); the norm is the max over modes, which for
@@ -346,7 +321,7 @@ def _lambda_norm(t: np.ndarray, a_lam: float, p_lam: float, a_q: float, p_q: flo
         k_hi = min(max(k_hi, 64), 400_000)
         k = np.arange(1, k_hi + 1, dtype=float)
         lam = a_lam * k**p_lam
-        q = a_q * k ** (-p_q)
+        q = k ** (-p_q)
         with np.errstate(divide="ignore"):
             vals = lam**extra * np.sqrt(2.0 * lam / q) * np.exp(-lam * ti)
             vals /= np.sqrt(-np.expm1(-2.0 * lam * ti))
@@ -367,9 +342,9 @@ def _log_quadrature_nodes(t_min: float, t_max: float, n_panels: int = 40,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _lambda_norm_integral(a_lam, p_lam, a_q, p_q, power: float, extra: float = 0.0,
-                          damp: float = 1.0) -> tuple[float, float]:
-    """(small-t exponent c, value) of int_0^inf e^{-damp t} ||Lambda(t)||^power dt.
+def _lambda_norm_integral(a_lam, p_lam, p_q, power: float,
+                          extra: float = 0.0) -> tuple[float, float]:
+    """(small-t exponent c, value) of int_0^inf e^{-t} ||Lambda(t)||^power dt.
 
     The t -> 0 singularity has exponent c = ((1 + rho)/2 + extra) * power
     with rho = p_q / p_lam; the head integral over [0, t_split] is bounded
@@ -380,16 +355,16 @@ def _lambda_norm_integral(a_lam, p_lam, a_q, p_q, power: float, extra: float = 0
     c = ((1.0 + rho) / 2.0 + extra) * power
     if c >= 1.0:
         return c, math.inf
-    b_coef = a_q * a_lam**rho  # q(lambda) = b_coef * lambda^{-rho}
+    b_coef = a_lam**rho  # q(lambda) = b_coef * lambda^{-rho}
     g_sup = _sup_scaled_ou_factor(rho, extra)
     c0 = math.sqrt(2.0 / b_coef) * g_sup  # ||Lambda(t)|| <= c0 * t^{-c/power}
     t_split, t_max = 1e-3, 60.0
     head = (c0**power) * t_split ** (1.0 - c) / (1.0 - c)
     nodes, weights = _log_quadrature_nodes(t_split, t_max)
-    vals = _lambda_norm(nodes, a_lam, p_lam, a_q, p_q, extra) ** power
-    body = float(np.sum(weights * np.exp(-damp * nodes) * vals))
-    tail = float(_lambda_norm(np.array([t_max]), a_lam, p_lam, a_q, p_q, extra)[0] ** power
-                 * math.exp(-damp * t_max) / damp)
+    vals = _lambda_norm(nodes, a_lam, p_lam, p_q, extra) ** power
+    body = float(np.sum(weights * np.exp(-nodes) * vals))
+    tail = float(_lambda_norm(np.array([t_max]), a_lam, p_lam, p_q, extra)[0] ** power
+                 * math.exp(-t_max))
     return c, head + body + tail
 
 
@@ -397,22 +372,32 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
                       k_trunc: int = 20_000, seed: int = 7) -> AssumptionReport:
     """Verify the structural assumptions for a diagonal model.
 
+    The spectra must declare their power laws, lambda_k = c k^p
+    (``growth_exponent`` and ``growth_coefficient``) and q_k = k^{-2r}
+    (``decay_exponent``); a model without them raises ConfigError.
     ``theta`` is the time-regularity exponent of the trace integrals over
-    [0, 1] (must lie in (0, 1)).  For power-law spectra all series are
-    summed in closed per-mode form with tail bounds; a divergent series
-    is reported as "fails" together with its partial sums as the
-    divergence witness.  A1 is spot-checked on 200 random field pairs
-    drawn from ``seed``; A5 takes kappa2 at half its admissible maximum.
+    [0, 1] (must lie in (0, 1)).  Every series is summed in closed
+    per-mode form with a tail bound; a divergent series is reported as
+    "fails" together with its partial sums as the divergence witness.
+    A1 is spot-checked on 200 random field pairs drawn from ``seed``; A5
+    takes kappa2 at half its admissible maximum.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if kappa1 is not None and not math.isfinite(kappa1):
         raise ConfigError(f"kappa1 must be finite, got {kappa1}")
+    if config.eigs.growth_exponent is None or None in (config.q1.decay_exponent,
+                                                       config.q2.decay_exponent):
+        raise ConfigError("check_assumptions needs declared power laws: the "
+                          "operator spectrum's growth_exponent and both noise "
+                          "spectra's decay_exponent")
     t_horizon, holder_pairs = 1.0, 200
     report = AssumptionReport()
-    a_lam, p_lam = _spectrum_rule(config.eigs)
-    aq1, pq1 = _noise_rule(config.q1)
-    aq2, pq2 = _noise_rule(config.q2)
+    # lambda_k = a_lam k^p_lam, q_k = k^-pq
+    a_lam = float(config.eigs.growth_coefficient)
+    p_lam = float(config.eigs.growth_exponent)
+    pq1 = 2.0 * float(config.q1.decay_exponent)
+    pq2 = 2.0 * float(config.q2.decay_exponent)
 
     # A1: boundedness/Hoelder continuity of the drifts (declared constants,
     # spot-checked empirically on random low-mode pairs); a non-finite
@@ -445,54 +430,41 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
         "requires lambda_k increasing to infinity",
     )
 
-    # A3: sum lambda_k^{zeta-1} < infinity for some zeta in (0, 1).
     k = np.arange(1, k_trunc + 1, dtype=float)
-    if p_lam <= 1.0:
-        s_k = float(np.sum((a_lam * k**p_lam) ** (0.5 - 1.0)))
-        k2 = np.arange(1, 2 * k_trunc + 1, dtype=float)
-        s_2k = float(np.sum((a_lam * k2**p_lam) ** (0.5 - 1.0)))
-        report.checks["A3_spectrum_summability"] = AssumptionCheck(
-            "A3_spectrum_summability", "fails",
-            {"partial_sum_K": s_k, "partial_sum_2K": s_2k, "K": k_trunc,
-             "zeta_tried": 0.5},
-            "series diverges for every zeta < 1 (no spectral growth)",
-        )
-    else:
-        zeta_max = 1.0 - 1.0 / p_lam
-        zeta = 0.5 * zeta_max
-        p_series = p_lam * (1.0 - zeta)
-        partial = float(np.sum((a_lam * k**p_lam) ** (zeta - 1.0)))
-        tail = _power_series_tail(a_lam ** (zeta - 1.0), p_series, k_trunc)
-        report.checks["A3_spectrum_summability"] = AssumptionCheck(
-            "A3_spectrum_summability", "holds",
-            {"zeta": zeta, "admissible_zeta_interval": (0.0, zeta_max),
-             "partial_sum": partial, "tail_bound": tail, "total": partial + tail,
-             "K": k_trunc},
-            f"sum lambda_k^(zeta-1) finite for zeta in (0, {zeta_max:g})",
-        )
 
-    # A4: the three trace integrals, in closed per-mode form.
-    def series_check(name, coef_fn, tail_coef, k_exponent, detail):
-        terms = coef_fn(k)
-        partial = float(np.sum(terms))
+    def series_check(name, coef_fn, tail_coef, k_exponent, detail, **witness):
+        """sum_k coef_fn(k), whose terms decay like tail_coef k^-k_exponent:
+        "holds" with a partial sum and tail bound if k_exponent > 1, else
+        "fails" with the partial sums to K and 2K."""
+        partial = float(np.sum(coef_fn(k)))
         if k_exponent <= 1.0:
             k2 = np.arange(1, 2 * k_trunc + 1, dtype=float)
-            report.checks[name] = AssumptionCheck(
-                name, "fails",
-                {"partial_sum_K": partial, "partial_sum_2K": float(np.sum(coef_fn(k2))),
-                 "series_k_exponent": k_exponent, "K": k_trunc},
-                detail + " diverges (index exponent <= 1)",
-            )
+            status, detail = "fails", detail + " diverges (index exponent <= 1)"
+            witness.update(partial_sum_K=partial,
+                           partial_sum_2K=float(np.sum(coef_fn(k2))))
         else:
             tail = _power_series_tail(tail_coef, k_exponent, k_trunc)
-            report.checks[name] = AssumptionCheck(
-                name, "holds",
-                {"partial_sum": partial, "tail_bound": tail,
-                 "total": partial + tail, "series_k_exponent": k_exponent,
-                 "K": k_trunc},
-                detail,
-            )
+            status = "holds"
+            witness.update(partial_sum=partial, tail_bound=tail, total=partial + tail)
+        witness.update(series_k_exponent=k_exponent, K=k_trunc)
+        report.checks[name] = AssumptionCheck(name, status, witness, detail)
 
+    # A3: sum lambda_k^{zeta-1} < infinity for some zeta in (0, 1), which
+    # needs p_lam > 1; zeta is taken mid-interval.
+    if p_lam > 1.0:
+        zeta_max = 1.0 - 1.0 / p_lam
+        zeta = 0.5 * zeta_max
+        a3 = {"zeta": zeta, "admissible_zeta_interval": (0.0, zeta_max)}
+        a3_detail = f"sum lambda_k^(zeta-1) finite for zeta in (0, {zeta_max:g})"
+    else:
+        zeta = 0.5
+        a3 = {"zeta_tried": zeta}
+        a3_detail = "sum lambda_k^(zeta-1) for every zeta < 1"
+    series_check("A3_spectrum_summability",
+                 lambda kk: (a_lam * kk**p_lam) ** (zeta - 1.0),
+                 a_lam ** (zeta - 1.0), p_lam * (1.0 - zeta), a3_detail, **a3)
+
+    # A4: the three trace integrals, in closed per-mode form.
     theta_max = min(1.0, 1.0 + (pq1 - 1.0) / p_lam) if p_lam > 0 else 0.0
     # imported here: scipy is most of the package's import time
     from scipy.special import gamma as gamma_fn
@@ -502,13 +474,13 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
 
     def a41_terms(kk):
         lam = a_lam * kk**p_lam
-        q = aq1 * kk ** (-pq1)
+        q = kk ** (-pq1)
         return q * (2.0 * lam) ** (theta - 1.0) * gamma_1mt * gammainc(
             1.0 - theta, 2.0 * lam * t_horizon)
 
     series_check(
         "A41_weighted_trace", a41_terms,
-        aq1 * (2.0 * a_lam) ** (theta - 1.0) * gamma_1mt,
+        (2.0 * a_lam) ** (theta - 1.0) * gamma_1mt,
         pq1 + p_lam * (1.0 - theta),
         f"int_0^T r^-theta ||e^(rA) sqrt(Q1)||_HS^2 dr, theta={theta:g}, "
         f"admissible theta in (0, {theta_max:g})",
@@ -516,22 +488,22 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
 
     def a42_terms(kk):
         lam = a_lam * kk**p_lam
-        q = aq1 * kk ** (-pq1)
+        q = kk ** (-pq1)
         return lam**theta * q * (-np.expm1(-2.0 * lam * t_horizon)) / (2.0 * lam)
 
     series_check(
         "A42_smoothed_trace", a42_terms,
-        aq1 * a_lam ** (theta - 1.0) / 2.0,
+        a_lam ** (theta - 1.0) / 2.0,
         pq1 + p_lam * (1.0 - theta),
         "int_0^T ||(-A)^(theta/2) e^(rA) sqrt(Q1)||_HS^2 dr",
     )
 
     def a43_terms(kk):
         lam = a_lam * kk**p_lam
-        return aq2 * kk ** (-pq2) / (2.0 * lam)
+        return kk ** (-pq2) / (2.0 * lam)
 
     series_check(
-        "A43_fast_trace", a43_terms, aq2 / (2.0 * a_lam), pq2 + p_lam,
+        "A43_fast_trace", a43_terms, 1.0 / (2.0 * a_lam), pq2 + p_lam,
         "int_0^inf ||e^(rA) sqrt(Q2)||_HS^2 dr (stationary fast variance)",
     )
 
@@ -540,20 +512,19 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
                       1.0 - config.rough_index)
     if kappa1 is None:
         kappa1 = required_k1
-    if aq1 <= 0 or aq2 <= 0 or p_lam <= 0:
+    if p_lam <= 0:
         report.checks["A5_gradient_integrability"] = AssumptionCheck(
             "A5_gradient_integrability", "not-checkable-numerically",
-            {"spectrum_growth": p_lam},
-            "degenerate noise spectrum or no spectral growth",
+            {"spectrum_growth": p_lam}, "no spectral growth",
         )
     else:
-        c1, i1 = _lambda_norm_integral(a_lam, p_lam, aq1, pq1, 1.0 + kappa1)
-        c2_, i2 = _lambda_norm_integral(a_lam, p_lam, aq2, pq2, 1.0 + kappa1)
+        c1, i1 = _lambda_norm_integral(a_lam, p_lam, pq1, 1.0 + kappa1)
+        c2_, i2 = _lambda_norm_integral(a_lam, p_lam, pq2, 1.0 + kappa1)
         rho1 = pq1 / p_lam
         kappa2_max = min(0.5, (1.0 - rho1) / 2.0)
         kappa2 = 0.5 * kappa2_max if kappa2_max > 0 else 0.0
         if kappa2 > 0.0:
-            cg, ig = _lambda_norm_integral(a_lam, p_lam, aq1, pq1, 1.0, extra=kappa2)
+            cg, ig = _lambda_norm_integral(a_lam, p_lam, pq1, 1.0, extra=kappa2)
         else:
             cg, ig = math.inf, math.inf
         ok = (kappa1 >= required_k1 and math.isfinite(i1) and math.isfinite(i2)
@@ -584,15 +555,16 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
 # ----------------------------------------------------------------------
 
 
-def low_mode_pair_sampler(n_modes: int, active_modes: int = 8,
-                          scales=(0.03, 0.1, 0.3, 1.0)):
+def low_mode_pair_sampler(n_modes: int):
     """Random low-mode field pairs at mixed perturbation scales.
 
     Returns a callable (rng, n) -> (x1, y1, x2, y2) of coefficient
-    arrays shaped (n, n_modes), with the second pair member a
-    perturbation of the first at a scale drawn from ``scales``.
+    arrays shaped (n, n_modes), nonzero in the first 8 modes, with the
+    second pair member a perturbation of the first at a scale drawn
+    from 0.03, 0.1, 0.3 and 1.
     """
-    act = min(active_modes, n_modes)
+    act = min(8, n_modes)
+    scales = np.array([0.03, 0.1, 0.3, 1.0])
     k = np.arange(1, act + 1, dtype=float)
 
     def sample(rng: np.random.Generator, n: int):
@@ -602,7 +574,7 @@ def low_mode_pair_sampler(n_modes: int, active_modes: int = 8,
             return c
 
         x1, y1 = fields(), fields()
-        s = np.asarray(scales)[rng.integers(0, len(scales), size=(n, 1))]
+        s = scales[rng.integers(0, len(scales), size=(n, 1))]
         dx = np.zeros((n, n_modes))
         dy = np.zeros((n, n_modes))
         dx[:, :act] = rng.standard_normal((n, act)) / k

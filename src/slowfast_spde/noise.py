@@ -43,8 +43,9 @@ __all__ = [
 class NoiseSpectrum:
     """Per-mode noise intensities q_k >= 0.
 
-    ``decay_exponent`` records r for the power-law family q_k = k^{-2r}
-    used by the built-in heat model (exact, not fitted).
+    ``decay_exponent`` declares r for the power law q_k = k^{-2r} of the
+    built-in heat model; the assumption checker sums its series with it
+    and refuses a spectrum that declares none.
     """
 
     q: np.ndarray
@@ -133,6 +134,15 @@ def derive_substream(root_seed: int, index: int, role: str, n_modes: int) -> Noi
     return NoiseStream(root_seed, n_modes, index=index, role=role)
 
 
+def _ou_law(lam: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Mean decay exp(-lambda t) and std sqrt(q (1 - exp(-2 lambda t)) /
+    (2 lambda)) of the exact Ornstein-Uhlenbeck transition over t."""
+    decay = np.exp(-lam * t)
+    # -expm1 keeps full precision for lambda*t << 1
+    var = q * (-np.expm1(-2.0 * lam * t)) / (2.0 * lam)
+    return decay, np.sqrt(var)
+
+
 def conv_increment_law(
     delta: float, spectrum: NoiseSpectrum, eigs: OperatorSpectrum
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +159,7 @@ def conv_increment_law(
     if delta <= 0.0:
         raise ValueError("step size must be positive")
     n = min(spectrum.n_modes, eigs.n_modes)
-    lam = eigs.eigenvalues[:n]
-    q = spectrum.q[:n]
-    decay = np.exp(-lam * delta)
-    # -expm1 keeps full precision for lambda*delta << 1
-    var = q * (-np.expm1(-2.0 * lam * delta)) / (2.0 * lam)
-    return decay, np.sqrt(var)
+    return _ou_law(eigs.eigenvalues[:n], spectrum.q[:n], delta)
 
 
 def sample_increments(

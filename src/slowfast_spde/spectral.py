@@ -126,9 +126,10 @@ class GridField:
 class OperatorSpectrum:
     """Eigenvalues lambda_k > 0 of -A, nondecreasing in k.
 
-    ``growth_exponent`` optionally records the power-law growth
-    lambda_k ~ coef * k^p used for series tail bounds; for the built-in
-    heat model it is exact (p = 2).
+    ``growth_exponent`` p and ``growth_coefficient`` c declare the power
+    law lambda_k = c k^p that the assumption checker sums its series
+    with; for the built-in heat model it is exact (p = 2, c = 1).  The
+    checker refuses a spectrum that declares none.
     """
 
     eigenvalues: np.ndarray

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, PicardDivergenceError
 from .model import _log_quadrature_nodes
+from .noise import _ou_law
 
 __all__ = [
     "OuKernel",
@@ -72,6 +73,11 @@ MAX_PICARD_NODES = 1 << 11
 
 # Time nodes per assembly chunk, to bound the temporaries.
 _CHUNK_NODES = 16
+
+# picard_solve's time quadrature (see its docstring)
+_N_PANELS = 30
+_GL_ORDER = 8
+_T_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,7 @@ class OuKernel:
 
     def transition(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Mean decay e^{-lambda t} and std of the t-transition, per axis."""
-        decay = np.exp(-self.eigenvalues * t)
-        var = self.q * (-np.expm1(-2.0 * self.eigenvalues * t)) / (2.0 * self.eigenvalues)
-        return decay, np.sqrt(var)
+        return _ou_law(self.eigenvalues, self.q, t)
 
     def stationary_std(self) -> np.ndarray:
         return np.sqrt(self.q / (2.0 * self.eigenvalues))
@@ -386,9 +390,7 @@ def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
 
 
 def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
-                 order: int = 24, n_panels: int = 30, gl_order: int = 8,
-                 t_min: float = 1e-8, max_iter: int = 60,
-                 tol: float | None = None) -> ZvonkinSolution:
+                 order: int = 24, max_iter: int = 60) -> ZvonkinSolution:
     """Solve lambda*U - L*U = G by iterating the damped integral map.
 
     Starting from U_0 = 0, each sweep evaluates
@@ -396,10 +398,13 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     with the gradient computed by the integration-by-parts weights at
     the same time nodes.  The sweep is linear in psi = G + <Bbar, DU>,
     so its dense operators are assembled once per call and every sweep
-    is two matrix products.  Stops when the sup-norm change of (U, DU)
-    falls below ``tol`` (default 1e-3 * sup|G|); growth of the change
-    across three consecutive sweeps raises
-    :class:`PicardDivergenceError` (increase lambda).  Grids of more
+    is two matrix products.  ``order`` is the Gauss-Hermite order per
+    axis.  The time integral takes T_t = Id on [0, _T_MIN] and
+    _GL_ORDER-point Gauss-Legendre rules on _N_PANELS log-spaced panels
+    of [_T_MIN, 40 / lambda_1] (_T_MIN = 1e-8, _GL_ORDER = 8, _N_PANELS
+    = 30).  Stops when the sup-norm change of (U, DU) falls below
+    1e-3 * sup|G|; growth of the change across three consecutive sweeps
+    raises :class:`PicardDivergenceError` (increase lambda).  Grids of more
     than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`.
     """
     check_lambdas([lam])
@@ -410,13 +415,12 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     out = g.out_shape
     x = g.grid_points()
     bbar_vals = np.asarray(bbar(x), dtype=float).reshape(g.grid_shape + (d,))
-    if tol is None:
-        tol = 1e-3 * max(g.sup_norm(), 1e-12)
+    tol = 1e-3 * max(g.sup_norm(), 1e-12)
 
     t_max = 40.0 / float(kernel.eigenvalues[0])
-    nodes, weights = _log_quadrature_nodes(t_min, t_max, n_panels, gl_order)
+    nodes, weights = _log_quadrature_nodes(_T_MIN, t_max, _N_PANELS, _GL_ORDER)
     damp = weights * np.exp(-lam * nodes)
-    head = -math.expm1(-lam * t_min) / lam  # int_0^tmin e^{-lam t} dt, T_t ~ Id
+    head = -math.expm1(-lam * _T_MIN) / lam  # int_0^tmin e^{-lam t} dt, T_t ~ Id
     a_op, b_op = _sweep_operators(g.axes, kernel, order, nodes, damp, head)
 
     u_shape, du_shape = g.grid_shape + out, g.grid_shape + out + (d,)
@@ -461,15 +465,15 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
 
 
 def resolvent_solutions(g: TruncatedFunction, bbar, kernel: OuKernel,
-                        lambdas, **solve_kw) -> list[ZvonkinSolution]:
+                        lambdas, order: int = 24) -> list[ZvonkinSolution]:
     """One :func:`picard_solve` per lambda; lambdas must strictly increase."""
     lambdas = list(lambdas)
     check_lambdas(lambdas)
-    return [picard_solve(g, bbar, lam, kernel, **solve_kw) for lam in lambdas]
+    return [picard_solve(g, bbar, lam, kernel, order=order) for lam in lambdas]
 
 
 def dlambda_curve(g: TruncatedFunction, bbar, kernel: OuKernel,
-                  lambdas, **solve_kw) -> list[dict]:
+                  lambdas, order: int = 24) -> list[dict]:
     """Resolvent norms across increasing lambda.
 
     Returns one :meth:`ZvonkinSolution.table_row` per lambda: sup|U|,
@@ -477,4 +481,4 @@ def dlambda_curve(g: TruncatedFunction, bbar, kernel: OuKernel,
     norms decay as lambda grows.
     """
     return [sol.table_row()
-            for sol in resolvent_solutions(g, bbar, kernel, lambdas, **solve_kw)]
+            for sol in resolvent_solutions(g, bbar, kernel, lambdas, order=order)]

@@ -88,8 +88,12 @@ class TestEstimate:
 
     def test_refuses_without_gap(self, heat, params):
         bad = replace(heat, l_f=1.5)  # lambda_1 - L_F = -0.5
-        with pytest.raises(ErgodicityError):
+        with pytest.raises(ErgodicityError) as est:
             estimate_bbar(bad, np.zeros(8), params, seed=6)
+        # the default burn-in refuses with the same message
+        with pytest.raises(ErgodicityError) as burn:
+            AveragingParams.for_model(bad)
+        assert str(burn.value) == str(est.value)
 
     def test_grid_side_average_matches_per_step_projection(self, heat, rng):
         params = AveragingParams(t_burn=2.0, t_avg=4.0, dt=0.02, n_replicas=3)

@@ -516,6 +516,64 @@ class TestConstantDrifts:
         assert json.loads(out.read_text())["A1_drift_regularity"]["status"] == "holds"
 
 
+class TestConstantDivisionByZero:
+    """``1/0`` in a drift expression is inf, not a ZeroDivisionError."""
+
+    @pytest.fixture(params=["1/0", "x*(1/0)"])
+    def inf_cfg(self, tmp_path, request):
+        p = tmp_path / "inf.cfg"
+        p.write_text(f"n_modes = 8\ndrift_b = {request.param}\n")
+        return p
+
+    def test_check_reports_a1_fails(self, inf_cfg, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["check", "--config", str(inf_cfg), "--out", str(out)])
+        assert code == 1
+        assert "A1_drift_regularity: fails" in capsys.readouterr().out
+        assert json.loads(out.read_text())["A1_drift_regularity"]["status"] == "fails"
+
+    def test_average_exits_1_naming_the_grid_point(self, inf_cfg, tmp_path,
+                                                   capsys):
+        out = tmp_path / "bbar.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["average", "--config", str(inf_cfg), "--Tb", "0.1",
+                         "--Ta", "0.1", "--replicas", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite value at xi=" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestVerifyLemmas:
+    """Reduced-scale runs of the lemmas that step the coupled system or
+    the frozen dynamics, at the default macro step dt = 1e-3."""
+
+    @pytest.mark.parametrize("lemma,name", [
+        ("increments", "time-increment-scaling"),
+        ("aux-fast", "fast-freeze-error"),
+        ("correlation", "correlation-decay"),
+        ("moments", "moment-uniformity"),
+    ])
+    def test_writes_report_with_matching_exit_code(self, tmp_path, lemma, name):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text("n_modes = 8\neps = 5e-2\nt_final = 0.128\n")
+        out = tmp_path / "report.json"
+        code = main(["verify", "--lemma", lemma, "--config", str(cfg),
+                     "--n-mc", "4", "--seed", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["name"] == name
+        assert code == (0 if report["verdict"] == "pass" else 1)
+        assert out.with_suffix(".csv").exists()
+        assert Path(str(out) + ".manifest.json").exists()
+        if lemma in ("increments", "aux-fast"):
+            # blocks of 64 .. 4 macro steps of dt = 1e-3
+            assert report["grid"] == [1e-3 * 2.0**k for k in range(6, 1, -1)]
+
+
 class TestLongBurnAndEps:
     @pytest.mark.parametrize("cfg_line,argv,t_burn", [
         ("", ["verify", "--lemma", "holder", "--n-mc", "2", "--Tb", "4"], 4.0),

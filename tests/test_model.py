@@ -11,7 +11,7 @@ from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, check_assumptions,
                                  empirical_holder, heat_drift_b, heat_drift_f,
                                  heat_example, low_mode_pair_sampler, sqrt_abs)
-from slowfast_spde.noise import power_law_spectrum
+from slowfast_spde.noise import NoiseSpectrum, power_law_spectrum
 from slowfast_spde.simulate import _drift_coeffs, _frozen_fast
 from slowfast_spde.spectral import OperatorSpectrum, grid_points
 
@@ -239,6 +239,17 @@ class TestChecker:
         assert rep["A3_spectrum_summability"].status == "fails"
         assert rep["A2_diagonal_operator"].status == "fails"
         assert not rep.all_hold
+
+    @pytest.mark.parametrize("which", ["eigs", "q1", "q2"])
+    def test_undeclared_power_law_is_config_error(self, heat8, which):
+        # the checker sums its series from declared power laws, never a fit
+        spectrum = getattr(heat8, which)
+        if which == "eigs":
+            bare = OperatorSpectrum(spectrum.eigenvalues)
+        else:
+            bare = NoiseSpectrum(spectrum.q)
+        with pytest.raises(ConfigError, match="declared power laws"):
+            check_assumptions(replace(heat8, **{which: bare}), theta=0.55)
 
     def test_kappa1_feasibility_depends_on_r(self):
         # kappa1 = 3/4 needs (1+r)(1+3/4)/2 < 1, i.e. r < 1/7

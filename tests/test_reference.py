@@ -2,9 +2,10 @@
 
 ``data/frozen_reference.npz`` holds the outputs of every integrator and
 experiment that steps the fast equation with a frozen slow argument,
-the log-linear fits, reduced-scale reports of the other Monte-Carlo
-experiments and the assumption checker's A1 witnesses, on the N = 8
-heat model at short horizons.
+the log-linear fits and reduced-scale reports of the other Monte-Carlo
+experiments, on the N = 8 heat model at short horizons, and the
+assumption checker's statuses and witness values on the heat models of
+N = 8 and N = 32 and on a constant spectrum.
 A refactor that is meant to leave the numbers alone must reproduce
 them to 1e-12 of each array's scale.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_reference.py`` only for a change
@@ -25,6 +26,7 @@ from slowfast_spde.model import _TAN_MIN_VALUES, check_assumptions, heat_example
 from slowfast_spde.noise import derive_substream
 from slowfast_spde.simulate import (StepScheme, simulate_auxiliary_fast,
                                     simulate_frozen, simulate_slow_fast)
+from test_model import make_broken_constant_spectrum
 
 DATA = Path(__file__).resolve().parent / "data" / "frozen_reference.npz"
 LARGE_PATHS = 256
@@ -101,6 +103,7 @@ def reference_outputs() -> dict[str, np.ndarray]:
         out[f"rate_fit_{name}"] = np.array([fit.slope, fit.intercept, fit.ci])
 
     out.update(_experiment_outputs(heat))
+    out.update(_checker_outputs())
     return out
 
 
@@ -152,6 +155,49 @@ def _experiment_outputs(heat) -> dict[str, np.ndarray]:
     for seed in (7, 27):
         a1 = check_assumptions(heat, 0.5, seed=seed).checks["A1_drift_regularity"]
         out[f"a1_witnesses_seed_{seed}"] = np.array([a1.witness[k] for k in witnesses])
+    return out
+
+
+_STATUSES = ("holds", "fails", "not-checkable-numerically")
+# Every numeric witness entry of each check, in a fixed order; a check
+# stores those its status reports.
+_WITNESS_KEYS = {
+    "A1_drift_regularity": ("b_max_quotient", "f_max_quotient", "b_sampled_sup",
+                            "f_sampled_sup", "bound_b", "bound_f", "alpha",
+                            "beta", "gamma", "l_f"),
+    "A2_diagonal_operator": ("lambda_1", "lambda_N", "growth_exponent"),
+    "A3_spectrum_summability": ("zeta", "admissible_zeta_interval", "zeta_tried",
+                                "partial_sum", "tail_bound", "total",
+                                "partial_sum_K", "partial_sum_2K", "K"),
+    **{name: ("partial_sum", "tail_bound", "total", "partial_sum_K",
+              "partial_sum_2K", "series_k_exponent", "K")
+       for name in ("A41_weighted_trace", "A42_smoothed_trace", "A43_fast_trace")},
+    "A5_gradient_integrability": ("kappa1", "kappa1_required", "integral_q1",
+                                  "integral_q2", "singularity_exponents", "kappa2",
+                                  "kappa2_admissible", "integral_gradient",
+                                  "spectrum_growth"),
+    "A6_spectral_gap": ("lambda_1", "l_f", "gap"),
+}
+
+
+def _checker_outputs() -> dict[str, np.ndarray]:
+    """Per check of check_assumptions: its status index in _STATUSES, then
+    its witness values in _WITNESS_KEYS order."""
+    cases = {"constant_spectrum": (make_broken_constant_spectrum(), 0.55, None)}
+    for n in (8, 32):
+        for theta in (0.55, 0.65):
+            for kappa1 in (None, 0.75):
+                cases[f"n{n}_theta{theta}_kappa1_{kappa1}"] = (
+                    heat_example(0.1, 0.1, n), theta, kappa1)
+    out = {}
+    for case, (config, theta, kappa1) in cases.items():
+        report = check_assumptions(config, theta, kappa1=kappa1)
+        for name, check in report.checks.items():
+            w = check.witness
+            out[f"check_{case}_{name}"] = np.concatenate(
+                [[_STATUSES.index(check.status)]]
+                + [np.ravel(w[k]) for k in _WITNESS_KEYS[name] if k in w]
+            ).astype(float)
     return out
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from slowfast_spde import zvonkin
 from slowfast_spde.errors import ConfigError, PicardDivergenceError
 from slowfast_spde.model import _log_quadrature_nodes
+from slowfast_spde.noise import NoiseSpectrum, conv_increment_law
+from slowfast_spde.spectral import OperatorSpectrum
 from slowfast_spde.zvonkin import (MAX_PICARD_NODES, OuKernel, TruncatedFunction,
                                    box_axes, check_picard_grid, dlambda_curve,
                                    ou_gradient_apply, ou_semigroup_apply,
@@ -34,6 +36,14 @@ def core_mask(x):
 
 
 class TestTransitionQuadrature:
+    def test_transition_is_the_noise_law_bit_for_bit(self):
+        lam = np.array([1.0, 4.0, 9.0])
+        q = np.array([1.0, 0.5, 0.25])
+        for t in (1e-8, 0.3, 5.0):
+            got = OuKernel(lam, q).transition(t)
+            ref = conv_increment_law(t, NoiseSpectrum(q), OperatorSpectrum(lam))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
     def test_constant_is_fixed(self, axes):
         f = TruncatedFunction.from_callable(
             lambda p: np.full((p.shape[0], 1), 2.5), axes)
