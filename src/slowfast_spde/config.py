@@ -15,8 +15,9 @@ vectorized grid evaluators.  A division by zero such as
 ``1/(x-x)`` is not rejected here: it evaluates to inf or NaN, which the
 assumption checker reports as A1 failing and every integrator rejects
 with the grid point named.  Constants are numpy float64, so a constant
-division by zero such as ``1/0`` gives inf (with numpy's divide
-warning) rather than a crash.  Regularity constants for overridden
+division by zero such as ``1/0`` gives inf rather than a crash.  An
+expression is evaluated with numpy's floating-point warnings off, so
+the checker's or the integrator's report is the only one.  Regularity constants for overridden
 drifts should be declared via the alpha/beta/gamma/l_f/bound_b/bound_f
 keys.  Float values must be finite.
 """
@@ -91,12 +92,18 @@ def parse_drift_expression(expr: str) -> DriftFn:
         # a SyntaxWarning (from "1if", say) is raised as a SyntaxError
         with warnings.catch_warnings():
             warnings.simplefilter("error", SyntaxWarning)
-            return build(ast.parse(expr, mode="eval"))
+            root = build(ast.parse(expr, mode="eval"))
     # RecursionError: deep nesting; ValueError: a NUL byte before Python 3.12;
     # OverflowError: an integer literal too large for a float
     except (SyntaxError, RecursionError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"cannot parse drift expression {expr[:60]!r}: {exc}") from exc
+
+    def drift(x, y):
+        # inf and NaN are reported by the checker and the integrators
+        with np.errstate(all="ignore"):
+            return root(x, y)
+    return drift
 
 
 # key -> (python type, default); None default means "required by some commands"

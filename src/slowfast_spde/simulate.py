@@ -388,7 +388,9 @@ def simulate_averaged(config: ModelConfig, x0, t_final: float, dt: float,
     for i in range(1, n_steps + 1):
         drift = np.asarray(bbar(x), dtype=float)
         if not np.all(np.isfinite(drift)):
-            raise IntegrationError("averaged drift returned a non-finite value")
+            k = np.argwhere(~np.isfinite(np.atleast_2d(drift)))[0][-1] + 1
+            raise IntegrationError("averaged drift returned a non-finite value "
+                                   f"at t={times[i - 1]:.6f} in mode {k}")
         x = decay * (x + dt * drift) + std * w1.standard_normals(n_paths)
         xs[i] = x
     return Trajectory(times, xs)

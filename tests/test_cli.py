@@ -548,6 +548,35 @@ class TestConstantDivisionByZero:
         assert not out.exists()
 
 
+class TestNonFiniteDriftReportsOnce:
+    """A non-finite drift expression gives the package's own report and no
+    numpy warning: the checker's A1 "fails" or the located error."""
+
+    @pytest.fixture(params=["1/0", "x*(1/0)", "x/(x-x)"])
+    def bad_cfg(self, tmp_path, request):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"n_modes = 8\ndrift_b = {request.param}\n")
+        return p
+
+    def test_check_reports_a1_fails(self, bad_cfg, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--config", str(bad_cfg)])
+        assert code == 1
+        assert "A1_drift_regularity: fails" in capsys.readouterr().out
+
+    def test_average_reports_the_grid_point(self, bad_cfg, tmp_path, capsys):
+        out = tmp_path / "bbar.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["average", "--config", str(bad_cfg), "--Tb", "0.1",
+                         "--Ta", "0.1", "--replicas", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: slow drift returned a non-finite value at xi=")
+        assert not out.exists()
+
+
 class TestVerifyLemmas:
     """Reduced-scale runs of the lemmas that step the coupled system or
     the frozen dynamics, at the default macro step dt = 1e-3."""
@@ -604,6 +633,25 @@ class TestLongBurnAndEps:
         code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out.json")])
         assert code in (0, 1)
         assert seen and set(seen) == {t_burn}
+
+    def test_average_without_tb_takes_the_bias_rule_burn_in(self, cfg_path,
+                                                            tmp_path):
+        # neither --Tb nor t_burn: AveragingParams.for_model's burn-in,
+        # 2 / ((lambda_1 - l_f) beta) log(1e3) = 55.3 on the heat model
+        from slowfast_spde.averaging import AveragingParams, estimate_bbar
+        from slowfast_spde.model import heat_example
+
+        out = tmp_path / "bbar.csv"
+        assert main(["average", "--config", str(cfg_path), "--Ta", "1",
+                     "--replicas", "2", "--seed", "5", "--out", str(out)]) == 0
+        model = heat_example(0.1, 0.1, 8)
+        params = AveragingParams.for_model(model, t_avg=1.0, dt=0.02,
+                                           n_replicas=2)
+        assert params.t_burn == pytest.approx(55.26, abs=0.01)
+        est = estimate_bbar(model, np.zeros(8), params, 5)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == est.value.tolist()
+        assert {float(r[2]) for r in rows} == {est.stderr}
 
     @pytest.mark.parametrize("lemma", ["increments", "aux-fast"])
     def test_verify_without_eps_is_config_error(self, tmp_path, capsys, lemma):
@@ -731,8 +779,8 @@ class TestZvonkinCommand:
 
 
 def test_simulate_runs_without_importing_scipy(tmp_path):
-    # scipy is imported only by the assumption checker, so the package, the
-    # CLI, a coupled run and a Zvonkin solve load none of it
+    # the package imports no scipy (the tests use it as an oracle), so the
+    # package, the CLI, a coupled run and a Zvonkin solve load none of it
     import subprocess
     import sys
 
@@ -764,3 +812,35 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "path.csv").exists() and (tmp_path / "zv.csv").exists()
+
+
+def test_check_and_average_run_without_importing_scipy(tmp_path):
+    # the assumption checker's incomplete gamma is the package's own, so
+    # the acceptance config's check and an averaged-drift estimate load
+    # no scipy either
+    import subprocess
+    import sys
+
+    import slowfast_spde
+
+    script = """
+import sys
+import slowfast_spde.cli
+code = slowfast_spde.cli.main(["check", "--config", sys.argv[1]])
+assert code == 0, code
+code = slowfast_spde.cli.main(["average", "--config", sys.argv[1], "--Tb", "0.1",
+                               "--Ta", "0.1", "--replicas", "2",
+                               "--out", sys.argv[2]])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    cfg = Path(__file__).parents[1] / "configs" / "heat.cfg"
+    src = str(Path(slowfast_spde.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg),
+                           str(tmp_path / "bbar.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "bbar.csv").exists()

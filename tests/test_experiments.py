@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slowfast_spde.config import parse_drift_expression
 from slowfast_spde.errors import ConfigError, IntegrationError
-from slowfast_spde.experiments import (RateTarget, aux_fast_error,
-                                       averaged_drift_holder,
+from slowfast_spde.experiments import (RateTarget, _ci_verdict_geq,
+                                       aux_fast_error, averaged_drift_holder,
                                        contraction_test, correlation_decay,
                                        ergodic_consistency, increment_scaling,
                                        moment_sweep, rate_fit, strong_error)
@@ -58,6 +59,16 @@ class TestRateFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             rate_fit([0.1, 0.2], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("slope,ci,target,verdict", [
+    (1.0, 0.1, 0.5, "pass"),
+    (0.2, 0.1, 0.5, "fail"),
+    (0.45, 0.1, 0.5, "inconclusive"),
+    (0.55, 0.1, 0.5, "pass"),
+])
+def test_ci_verdict_geq(slope, ci, target, verdict):
+    assert _ci_verdict_geq(slope, ci, target) == verdict
 
 
 class TestRateTarget:
@@ -148,6 +159,16 @@ class TestContraction:
         # 0.105 was rounded to the step of 0.1, whose ratio then went missing
         with pytest.raises(ConfigError, match="check time"):
             contraction_test(heat, (0.1, 0.105), 0.02, 4, seed=9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_expansive_drift_fails(self, heat8, seed):
+        # negative control: F = 2 sin(y) is 2-Lipschitz in y, above
+        # lambda_1 = 1, while the declared l_f stays 0.5, so the distance
+        # outlives the declared gap's bound e^{-0.5 t}
+        cfg = replace(heat8, drift_f=parse_drift_expression("2*sin(y)"))
+        rep = contraction_test(cfg, (1.0, 2.0, 4.0), 0.01, n_mc=16, seed=seed)
+        assert rep.verdict == "fail"
+        assert rep.extra["violations"] > 0
 
     def test_x_offset_plateau_constant_stable(self, heat):
         rep = contraction_test(heat, (1.0, 2.0, 4.0), 0.02, n_mc=32, seed=6,
@@ -265,6 +286,15 @@ class TestStrongError:
         assert rep.slope - rep.slope_ci > 0
         for d in rep.extra["paired_differences"]:
             assert d["mean_diff"] > -1.96 * d["stderr"]
+
+    def test_two_eps_values_are_inconclusive(self, heat8):
+        # two scales fit no slope CI: the curve is reported, with no verdict
+        params = AveragingParams(t_burn=1.0, t_avg=2.0, dt=0.1, n_replicas=2)
+        rep = strong_error(heat8, [1e-1, 1e-2], 0.02, StepScheme(2e-3),
+                           n_mc=4, seed=3, oracle_params=params)
+        assert max(rep.estimates) > 0.0
+        assert rep.verdict == "inconclusive"
+        assert np.isnan(rep.slope)
 
 
 class ColdOracle:

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
-from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, check_assumptions,
-                                 empirical_holder, heat_drift_b, heat_drift_f,
-                                 heat_example, low_mode_pair_sampler, sqrt_abs)
+from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, _gammainc_lower,
+                                 check_assumptions, empirical_holder,
+                                 heat_drift_b, heat_drift_f, heat_example,
+                                 low_mode_pair_sampler, sqrt_abs)
 from slowfast_spde.noise import NoiseSpectrum, power_law_spectrum
 from slowfast_spde.simulate import _drift_coeffs, _frozen_fast
 from slowfast_spde.spectral import OperatorSpectrum, grid_points
@@ -187,6 +188,24 @@ class TestEmpiricalHolder:
                              heat32.m_points, seed=3)
         assert q <= np.sqrt(np.pi) + 0.1
         assert q > 0.1  # nondegenerate
+
+
+class TestGammaincLower:
+    """A41's regularized lower incomplete gamma, with scipy as the oracle."""
+
+    def test_agrees_with_scipy(self):
+        from scipy.special import gammainc
+
+        x = np.geomspace(1e-6, 1e3, 400)
+        for a in np.geomspace(0.01, 0.99, 60):
+            want = gammainc(a, x)
+            np.testing.assert_allclose(_gammainc_lower(a, x), want, rtol=1e-14,
+                                       atol=0.0)
+
+    @pytest.mark.parametrize("a", [0.01, 0.45, 0.99])
+    def test_exactly_one_from_the_cut(self, a):
+        x = np.array([50.0, 50.0 + 1e-12, 80.0, 1e3, 1e300])
+        assert np.all(_gammainc_lower(a, x) == 1.0)
 
 
 class TestChecker:

@@ -346,6 +346,26 @@ class TestValidationAndBounds:
             simulate_slow_fast(cfg, 0.1, np.zeros(8), np.zeros(8), 0.05,
                                StepScheme(1e-2), w1, w2)
 
+    @pytest.mark.parametrize("x0", [np.zeros(8), np.zeros((4, 8))],
+                             ids=["one-path", "batch"])
+    def test_nan_averaged_drift_reports_time_and_mode(self, heat, x0):
+        calls = []
+
+        def bbar(x):
+            calls.append(None)
+            out = np.zeros_like(x)
+            if len(calls) >= 3:
+                out[..., 2] = np.nan
+            return out
+
+        w1, _ = streams(8)
+        # the third call drifts the state of t = 2 dt
+        with pytest.raises(IntegrationError,
+                           match=r"^averaged drift returned a non-finite value "
+                                 r"at t=0\.020000 in mode 3$"):
+            simulate_averaged(heat, x0, 0.05, 1e-2, w1, bbar)
+        assert len(calls) == 3
+
     def test_fast_moment_uniform_in_eps(self, heat):
         # time-sup of E|Y|^2 varies little across eps
         sups = []
