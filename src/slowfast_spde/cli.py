@@ -140,18 +140,15 @@ def cmd_simulate(args, rc: ResolvedConfig, seed: int):
     return [out], 0
 
 
-def _averaging_params(rc: ResolvedConfig) -> AveragingParams:
-    if rc.t_burn is None:
-        return AveragingParams.for_model(rc.model, t_avg=rc.t_avg,
-                                         dt=rc.dt_frozen, n_replicas=rc.replicas)
-    return AveragingParams(t_burn=rc.t_burn, t_avg=rc.t_avg, dt=rc.dt_frozen,
-                           n_replicas=rc.replicas)
-
-
-def _long_burn_params(rc: ResolvedConfig) -> AveragingParams:
-    """The holder and zvonkin estimates' parameters: the configured
-    burn-in, else a burn-in of 16."""
-    t_burn = 16.0 if rc.t_burn is None else rc.t_burn
+def _averaging_params(rc: ResolvedConfig, fallback_t_burn: float | None
+                      ) -> AveragingParams:
+    """The averaged-drift estimates' parameters: the configured burn-in,
+    else ``fallback_t_burn``, else AveragingParams.for_model's.  The
+    burn-in used is the manifest's ``t_burn``."""
+    t_burn = rc.t_burn if rc.t_burn is not None else fallback_t_burn
+    if t_burn is None:
+        t_burn = AveragingParams.for_model(rc.model).t_burn
+    rc.echo["t_burn"] = t_burn
     return AveragingParams(t_burn=t_burn, t_avg=rc.t_avg, dt=rc.dt_frozen,
                            n_replicas=rc.replicas)
 
@@ -170,7 +167,7 @@ def _n_mc(rc: ResolvedConfig) -> int:
 
 
 def cmd_average(args, rc: ResolvedConfig, seed: int):
-    params = _averaging_params(rc)
+    params = _averaging_params(rc, None)
     n = rc.model.n_modes
     if args.x == "zero":
         x = np.zeros(n)
@@ -236,10 +233,11 @@ def cmd_verify(args, rc: ResolvedConfig, seed: int):
         report = moment_sweep(model, (1e-1, 1e-2, 1e-3), rc.t_final, scheme,
                               n_mc, seed)
     elif args.lemma == "ergodicity":
-        report = ergodic_consistency(model, _averaging_params(rc), seed)
+        report = ergodic_consistency(model, _averaging_params(rc, None), seed)
     elif args.lemma == "holder":
         report = averaged_drift_holder(model, n_pairs=n_mc,
-                                       params=_long_burn_params(rc), seed=seed)
+                                       params=_averaging_params(rc, 16.0),
+                                       seed=seed)
     else:  # unreachable with argparse choices
         raise ConfigError(f"unknown lemma {args.lemma!r}")
     return _write_report(report, Path(args.out))
@@ -255,7 +253,7 @@ def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     check_picard_grid(tuple(a.shape[0] for a in axes))
     lambdas = sorted(float(v) for v in args.lam.split(","))
     check_lambdas(lambdas)
-    params = _long_burn_params(rc)
+    params = _averaging_params(rc, 16.0)
 
     def bbar_truncated(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,7 +215,10 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
     errors are coupled across the grid and the monotonicity check can
     use paired differences.  The theoretical exponent is reported
     alongside the fitted slope but not asserted as an equality: the
-    proved rate is an upper-bound construction.
+    proved rate is an upper-bound construction.  Without ``oracle`` the
+    averaged drift comes from a :class:`BbarOracle` with ``oracle_params``
+    (default: t_burn 10, t_avg 20, dt 0.05, 2 replicas), which the report
+    records as ``extra["oracle_params"]`` (None for a caller's oracle).
     """
     eps_grid = sorted(float(e) for e in eps_grid)  # ascending
     n = config.n_modes
@@ -224,6 +227,8 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
             oracle_params = AveragingParams(t_burn=10.0, t_avg=20.0, dt=0.05,
                                             n_replicas=2)
         oracle = BbarOracle(config, oracle_params, seed=seed)
+    else:
+        oracle_params = None  # a caller's oracle: the report names no parameters
     target = RateTarget(theta=theta, alpha=config.alpha, beta=config.beta,
                         gamma=config.gamma)
 
@@ -276,7 +281,9 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
         verdict=verdict, seed=seed, extra={"paired_differences": paired, "p": 1.0,
                "delta_rule_examples": {repr(e): target.delta_rule(e)
                                        for e in eps_grid},
-               "oracle_stats": getattr(oracle, "stats", None)},
+               "oracle_stats": getattr(oracle, "stats", None),
+               "oracle_params": (None if oracle_params is None
+                                 else asdict(oracle_params))},
     )
 
 

@@ -118,6 +118,11 @@ class TestEstimate:
         want = estimate_bbar_batch(heat, xs, params, seed=22, y0=per_path)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    def test_rejects_points_of_another_mode_count(self, heat):
+        params = AveragingParams(t_burn=0.1, t_avg=0.2, dt=0.02, n_replicas=2)
+        with pytest.raises(ConfigError, match="point dimension does not match config"):
+            estimate_bbar_batch(heat, np.zeros((2, 7)), params, seed=22)
+
     @pytest.mark.parametrize("shape", [(3, 8), (1, 8), (4, 7), (2, 8, 1)])
     def test_rejects_other_initial_state_shapes(self, heat, shape):
         # P = 2 points, R = 2 replicas, N = 8 modes

@@ -142,6 +142,21 @@ class TestDriftExpressions:
         with pytest.raises(ConfigError):
             parse_drift_expression("exp(x)")
 
+    def test_pi_is_numpy_pi(self):
+        x = np.linspace(-3.0, 3.0, 101)
+        f = parse_drift_expression("sin(pi*x)")
+        assert np.array_equal(f(x, np.zeros_like(x)), np.sin(np.pi * x))
+
+    def test_average_runs_on_a_pi_drift(self, cfg_path, tmp_path):
+        cfg = tmp_path / "pi.cfg"
+        cfg.write_text(SECTIONED + "drift_b = 0.5*sin(pi*x) + 0.5*sin(sqrt(abs(y)))\n")
+        out = tmp_path / "bbar.csv"
+        assert main(["average", "--config", str(cfg), "--Tb", "1", "--Ta", "1",
+                     "--replicas", "2", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 9 and all(np.isfinite(float(r.split(",")[1]))
+                                      for r in rows[1:])
+
     def test_deep_nesting_is_config_error(self):
         with pytest.raises(ConfigError, match="recursion"):
             parse_drift_expression("-" * 5000 + "x")
@@ -410,6 +425,28 @@ class TestDispatch:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg_text,argv,message", [
+        (SECTIONED, ["converge", "--eps-grid", "0.1,0.01"],
+         "--eps-grid needs at least 3 values for a rate fit"),
+        (SECTIONED, ["zvonkin", "--dim", "4", "--grid", "9"],
+         "dim must be 1, 2 or 3"),
+        (SECTIONED, ["average", "--Tb", "-1", "--Ta", "1"],
+         "t_burn must be finite and nonnegative, got -1.0"),
+        (SECTIONED + "[extra]\nn_modes = 16\n", ["check"],
+         "duplicate config key 'n_modes'"),
+    ], ids=["converge-two-eps", "zvonkin-dim-4", "average-Tb-negative",
+            "key-in-two-sections"])
+    def test_refused_value_is_config_error(self, tmp_path, capsys, cfg_text,
+                                           argv, message):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "out.json"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("argv", [
         ["average", "--Tb", "1", "--Ta", "1"],
         ["verify", "--lemma", "holder", "--n-mc", "2"],
@@ -653,6 +690,42 @@ class TestLongBurnAndEps:
         assert [float(r[1]) for r in rows] == est.value.tolist()
         assert {float(r[2]) for r in rows} == {est.stderr}
 
+    @pytest.mark.parametrize("cfg_line,argv,t_burn", [
+        ("", ["average", "--Ta", "1", "--replicas", "2"], "bias rule"),
+        ("", ["verify", "--lemma", "ergodicity"], "bias rule"),
+        ("", ["verify", "--lemma", "holder", "--n-mc", "2"], 16.0),
+        ("", ["zvonkin", "--dim", "1", "--grid", "9"], 16.0),
+        ("t_burn = 4\n", ["zvonkin", "--dim", "1", "--grid", "9"], 4.0),
+    ], ids=["average", "ergodicity", "holder", "zvonkin", "zvonkin-config"])
+    def test_manifest_records_the_burn_in_used(self, tmp_path, monkeypatch,
+                                               cfg_line, argv, t_burn):
+        # the manifest's t_burn is the burn-in the estimates ran, also
+        # when neither the config nor --Tb sets it
+        from slowfast_spde import averaging, experiments
+        from slowfast_spde.averaging import AveragingParams
+        from slowfast_spde.model import heat_example
+
+        if t_burn == "bias rule":
+            t_burn = AveragingParams.for_model(heat_example(0.1, 0.1, 8)).t_burn
+        seen = []
+        estimate = averaging.estimate_bbar_batch
+
+        def recording(config, xs, params, seed, **kwargs):
+            seen.append(params.t_burn)
+            short = replace(params, t_burn=0.0, t_avg=0.2, dt=0.1)
+            return estimate(config, xs, short, seed, **kwargs)
+
+        monkeypatch.setattr(averaging, "estimate_bbar_batch", recording)
+        monkeypatch.setattr(experiments, "estimate_bbar_batch", recording)
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED + cfg_line)
+        out = tmp_path / "out.json"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1)
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["config"]["t_burn"] == t_burn
+        assert set(seen) == {t_burn}
+
     @pytest.mark.parametrize("lemma", ["increments", "aux-fast"])
     def test_verify_without_eps_is_config_error(self, tmp_path, capsys, lemma):
         cfg = tmp_path / "heat.cfg"
@@ -664,6 +737,25 @@ class TestLongBurnAndEps:
         assert ("eps is required (flag --eps or config key eps)"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+def test_converge_reports_its_oracle_burn_in(tmp_path):
+    # converge builds the oracle of strong_error's defaults, whatever the
+    # config's t_burn, and its report says so
+    reports = []
+    for t_burn in ("1", "50"):
+        cfg = tmp_path / f"burn{t_burn}.cfg"
+        cfg.write_text(SECTIONED + f"t_burn = {t_burn}\n")
+        out = tmp_path / f"conv{t_burn}.json"
+        code = main(["converge", "--config", str(cfg), "--T", "0.004",
+                     "--n-mc", "4", "--eps-grid", "0.1,0.03,0.01",
+                     "--out", str(out)])
+        assert code in (0, 1)
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["estimates"] == reports[1]["estimates"]
+    for report in reports:
+        assert report["extra"]["oracle_params"] == {
+            "t_burn": 10.0, "t_avg": 20.0, "dt": 0.05, "n_replicas": 2}
 
 
 class TestZvonkinCommand:

@@ -1,5 +1,6 @@
 """Heat model construction, assumption checker, empirical regularity."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, _gammainc_lower,
-                                 check_assumptions, empirical_holder,
+                                 _lambda_norm_integral, _log_quadrature_nodes,
+                                 _sup_scaled_ou_factor, check_assumptions,
+                                 empirical_holder,
                                  heat_drift_b, heat_drift_f, heat_example,
                                  low_mode_pair_sampler, sqrt_abs)
 from slowfast_spde.noise import NoiseSpectrum, power_law_spectrum
@@ -41,6 +44,20 @@ class TestHeatExample:
 
     def test_spectral_gap_positive(self, heat8):
         assert heat8.spectral_gap == pytest.approx(0.5)
+
+    def test_no_modes_rejected(self):
+        with pytest.raises(ConfigError, match="n_modes must be positive"):
+            heat_example(0.1, 0.1, 0)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"l_f": -0.1}, "l_f must be nonnegative"),
+        ({"bound_b": math.inf}, "drift bounds must be finite"),
+        ({"eigs": OperatorSpectrum(np.arange(1.0, 8.0) ** 2)},
+         "operator spectrum shorter than n_modes"),
+    ], ids=["negative-l_f", "infinite-bound", "short-spectrum"])
+    def test_invalid_model_config_rejected(self, heat8, change, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(heat8, **change)
 
     def test_r_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match=r"\(0, 1/7\)"):
@@ -208,6 +225,82 @@ class TestGammaincLower:
         assert np.all(_gammainc_lower(a, x) == 1.0)
 
 
+def reference_lambda_norm(t, a_lam, p_lam, p_q, extra=0.0):
+    """||lambda^extra Q(t)^{-1/2} e^{tA}|| as the max over the discrete
+    modes lambda_k = a_lam k^p_lam, q_k = k^-p_q, per time in ``t``: the
+    checker's norm before A5 took its closed form."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    for i, ti in enumerate(t):
+        lam_hi = 40.0 / ti
+        k_hi = int(np.ceil((lam_hi / a_lam) ** (1.0 / p_lam))) + 8
+        k_hi = min(max(k_hi, 64), 400_000)
+        k = np.arange(1, k_hi + 1, dtype=float)
+        lam = a_lam * k**p_lam
+        q = k ** (-p_q)
+        with np.errstate(divide="ignore"):
+            vals = lam**extra * np.sqrt(2.0 * lam / q) * np.exp(-lam * ti)
+            vals /= np.sqrt(-np.expm1(-2.0 * lam * ti))
+        out[i] = np.max(vals)
+    return out
+
+
+def reference_lambda_norm_integral(a_lam, p_lam, p_q, power, extra=0.0):
+    """The checker's A5 value before its closed form: the analytic head
+    on [0, 1e-3], Gauss-Legendre on 40 log panels of [1e-3, 60] and the
+    integrand at 60 as the tail."""
+    rho = p_q / p_lam
+    c = ((1.0 + rho) / 2.0 + extra) * power
+    c0 = math.sqrt(2.0 / a_lam**rho) * _sup_scaled_ou_factor(rho, extra)
+    t_split, t_max = 1e-3, 60.0
+    head = c0**power * t_split ** (1.0 - c) / (1.0 - c)
+    nodes, weights = _log_quadrature_nodes(t_split, t_max, 40, 8)
+    vals = reference_lambda_norm(nodes, a_lam, p_lam, p_q, extra) ** power
+    body = float(np.sum(weights * np.exp(-nodes) * vals))
+    tail = float(reference_lambda_norm(t_max, a_lam, p_lam, p_q, extra)[0] ** power
+                 * math.exp(-t_max))
+    return head + body + tail
+
+
+class TestLambdaNormIntegral:
+    """A5's closed form c0^p Gamma(1 - c) against the discrete-mode norm."""
+
+    # (a_lam, p_lam, p_q, power, extra), each with exponent c < 1; the
+    # first two are the heat model's q1 integral at kappa1 = 3/4 and its
+    # gradient integral
+    ADMISSIBLE = [(1.0, 2.0, 0.2, 1.75, 0.0), (1.0, 2.0, 0.2, 1.0, 0.225),
+                  (1.0, 2.0, 0.26, 1.75, 0.0), (0.5, 2.0, 0.5, 1.2, 0.0),
+                  (2.0, 1.0, 0.3, 1.5, 0.0), (1.0, 1.5, 0.6, 1.0, 0.1),
+                  (3.0, 2.0, 0.0, 1.9, 0.0), (1.0, 2.0, 1.0, 1.0, 0.1),
+                  (1.0, 4.0, 0.4, 1.6, 0.0), (0.25, 1.2, 0.0, 1.0, 0.3)]
+
+    @pytest.mark.parametrize("case", ADMISSIBLE)
+    def test_bounds_a_dense_quadrature_of_the_mode_norm(self, case):
+        # the integrand is positive, so its integral over [1e-3, 60] is
+        # below the one over (0, inf)
+        c, bound = _lambda_norm_integral(*case)
+        assert c < 1.0
+        nodes, weights = _log_quadrature_nodes(1e-3, 60.0, 400, 8)
+        a_lam, p_lam, p_q, power, extra = case
+        vals = reference_lambda_norm(nodes, a_lam, p_lam, p_q, extra) ** power
+        assert bound >= float(np.sum(weights * np.exp(-nodes) * vals))
+
+    @pytest.mark.parametrize("case", ADMISSIBLE)
+    def test_within_thirty_percent_of_the_quadrature_value(self, case):
+        _, bound = _lambda_norm_integral(*case)
+        assert bound <= 1.3 * reference_lambda_norm_integral(*case)
+
+    def test_gamma_form(self):
+        c, bound = _lambda_norm_integral(1.0, 2.0, 0.2, 1.75)
+        c0 = math.sqrt(2.0) * _sup_scaled_ou_factor(0.1, 0.0)
+        assert c == pytest.approx(0.9625)
+        assert bound == c0**1.75 * math.gamma(1.0 - c)
+
+    def test_divergent_exponent_gives_inf(self):
+        c, bound = _lambda_norm_integral(1.0, 2.0, 0.26, 1.9)
+        assert c == pytest.approx(1.0735) and bound == math.inf
+
+
 class TestChecker:
     def test_heat_model_passes_all(self, heat32):
         rep = check_assumptions(heat32, theta=0.55, kappa1=0.75)
@@ -276,6 +369,24 @@ class TestChecker:
         assert rep["A5_gradient_integrability"].status == "holds"
         c1, _ = rep["A5_gradient_integrability"].witness["singularity_exponents"]
         assert c1 < 1.0
+
+    def test_a5_fails_past_the_kappa1_threshold(self):
+        # (1 + r)(1 + kappa1)/2 = 0.565 * 1.9 = 1.0735 >= 1 at r = 0.13
+        a5 = check_assumptions(heat_example(0.13, 0.13, 16), 0.55,
+                               kappa1=0.9)["A5_gradient_integrability"]
+        assert a5.status == "fails"
+        c1, _ = a5.witness["singularity_exponents"]
+        assert c1 == pytest.approx(1.0735)
+        assert a5.witness["integral_q1"] == math.inf
+
+    def test_a5_fails_without_a_kappa2(self, heat8):
+        # q1 ~ k^-2 on lambda ~ k^2: rho1 = 1 leaves no kappa2 > 0
+        rough = replace(heat8, q1=power_law_spectrum(8, 1.0))
+        a5 = check_assumptions(rough, 0.55)["A5_gradient_integrability"]
+        assert a5.status == "fails"
+        assert a5.witness["kappa2"] == 0.0
+        assert a5.witness["kappa2_admissible"] == (0.0, 0.0)
+        assert a5.witness["integral_gradient"] == math.inf
 
     def test_truncation_stability(self, heat32):
         r1 = check_assumptions(heat32, 0.55, kappa1=0.75, k_trunc=20_000)

@@ -144,6 +144,18 @@ class TestBlockDraw:
         assert np.array_equal(one, nxt)
         assert single.draws == block.draws == filled.draws == k + 1
 
+    @pytest.mark.parametrize("q,message", [
+        (np.ones((2, 2)), "q must be one-dimensional"),
+        (np.array([1.0, -0.5]), "noise intensities must be nonnegative"),
+    ], ids=["two-d", "negative"])
+    def test_bad_spectrum_is_rejected(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            nz.NoiseSpectrum(q)
+
+    def test_stream_without_modes_is_rejected(self):
+        with pytest.raises(ValueError, match="n_modes must be positive"):
+            nz.NoiseStream(3, 0)
+
     def test_out_of_the_wrong_shape_is_rejected(self):
         stream = nz.derive_substream(3, 0, "W2", 4)
         with pytest.raises(ValueError):

@@ -298,12 +298,35 @@ class TestAuxiliaryFast:
         with pytest.raises(ConfigError, match="multiple"):
             simulate_auxiliary_fast(heat, 0.1, xs, 0.015, np.zeros(8), scheme,
                                     w2.replay())
+        with pytest.raises(ConfigError,
+                           match="delta must be a positive multiple of dt_macro"):
+            simulate_auxiliary_fast(heat, 0.1, xs, 0.0, np.zeros(8), scheme,
+                                    w2.replay())
 
 
 class TestValidationAndBounds:
     def test_eps_domain_rejected(self, heat):
         with pytest.raises(ConfigError, match="eps"):
             SlowFastState(x=np.zeros(8), y=np.zeros(8), t=0.0, eps=1.0)
+
+    @pytest.mark.parametrize("run,message", [
+        (lambda heat, w1, w2: StepScheme(0.0),
+         "dt_macro must be finite and positive, got 0.0"),
+        (lambda heat, w1, w2: simulate_slow_fast(
+            heat, 0.1, np.zeros(7), np.zeros(8), 0.02, StepScheme(0.01), w1, w2),
+         "initial field has 7 modes, config expects 8"),
+        (lambda heat, w1, w2: simulate_frozen(heat, np.zeros(8), np.zeros(8),
+                                              0.1, 0.0, w2),
+         "dt must be positive"),
+        (lambda heat, w1, w2: simulate_averaged(heat, np.zeros(8), 0.1, -0.01,
+                                                w1, lambda x: 0.0 * x),
+         "dt must be positive"),
+    ], ids=["zero-macro-step", "seven-mode-x0", "frozen-dt-0", "averaged-dt-neg"])
+    def test_invalid_input_rejected(self, heat, run, message):
+        w1, w2 = streams(8)
+        with pytest.raises(ConfigError, match=message):
+            run(heat, w1, w2)
+        assert w1.draws == w2.draws == 0
 
     @pytest.mark.parametrize("t_final, dt", [(0.0105, 0.01), (0.05, 0.02),
                                              (-0.02, 0.01)])

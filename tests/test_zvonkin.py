@@ -79,6 +79,22 @@ class TestTransitionQuadrature:
         with pytest.raises(ValueError):
             ou_semigroup_apply(f, 0.1, KERNEL, order=2)
 
+    def test_negative_time_rejected(self, axes):
+        f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            ou_semigroup_apply(f, -0.1, KERNEL)
+
+    @pytest.mark.parametrize("lam,q,message", [
+        ([1.0, 4.0], [1.0], "1-d arrays of equal length"),
+        ([[1.0, 4.0]], [[1.0, 0.5]], "1-d arrays of equal length"),
+        ([1.0, 0.0], [1.0, 0.5], r"need lambda > 0 and q >= 0"),
+        ([1.0, -4.0], [1.0, 0.5], r"need lambda > 0 and q >= 0"),
+        ([1.0], [-1.0], r"need lambda > 0 and q >= 0"),
+    ], ids=["unequal", "two-d", "zero-lambda", "negative-lambda", "negative-q"])
+    def test_kernel_rejects_bad_parameters(self, lam, q, message):
+        with pytest.raises(ConfigError, match=message):
+            OuKernel(np.array(lam), np.array(q))
+
 
 class TestGradient:
     def test_constant_has_zero_gradient(self, axes):
@@ -110,6 +126,11 @@ class TestGradient:
         f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
         with pytest.raises(ValueError):
             ou_gradient_apply(f, 0.0, KERNEL)
+
+    def test_order_validation(self, axes):
+        f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+        with pytest.raises(ValueError, match="quadrature order must be >= 3"):
+            ou_gradient_apply(f, 0.1, KERNEL, order=2)
 
 
 class TestPicard:
@@ -184,6 +205,16 @@ class TestPicard:
 
         with pytest.raises(PicardDivergenceError, match="increase lambda"):
             picard_solve(g, huge, 0.05, KERNEL, order=12, max_iter=30)
+
+    def test_dimension_mismatch_refused_before_any_work(self):
+        plane = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+        g = TruncatedFunction(plane, np.zeros((5, 5, 2)))
+
+        def bbar(pts):
+            raise AssertionError("the drift was read before the check")
+
+        with pytest.raises(ConfigError, match="g and kernel dimensions differ"):
+            picard_solve(g, bbar, 1.0, KERNEL)
 
     def test_lambda_table_requires_increasing(self, axes):
         g = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
@@ -282,6 +313,11 @@ class TestTruncatedFunction:
 
         with pytest.raises(ConfigError, match="strictly increasing"):
             TruncatedFunction.from_callable(fn, (axis,))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), ()])
+    def test_values_off_the_grid_shape_are_config_error(self, shape):
+        with pytest.raises(ConfigError, match="values do not match the grid shape"):
+            TruncatedFunction((np.linspace(0.0, 1.0, 3),), np.zeros(shape))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_box_axes_need_two_points(self, n):
