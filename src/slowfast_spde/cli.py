@@ -98,12 +98,31 @@ def _emit_manifest(args, rc: ResolvedConfig, seed: int, wall_clock_s: float,
 
 
 def _resolve_seed(args, rc: ResolvedConfig) -> int:
-    if args.seed is not None:
-        return int(args.seed)
+    """The run's seed, from the first of ``--seed``, $SPDE_SEED and the
+    config that sets one: an integer in [0, 2^64), the range the noise
+    streams key on without aliasing."""
     env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        return int(env)
-    return rc.seed
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif env is not None:
+        source = f"${_ENV_SEED}"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"{source} must be an integer, got {env!r}") from None
+    else:
+        seed, source = rc.seed, "config key seed"
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must be an integer in [0, 2^64), got {seed}")
+    return seed
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a list-valued flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _write_report(report: ExperimentReport, out: Path) -> tuple[list[Path], int]:
@@ -199,9 +218,11 @@ def cmd_check(args, rc: ResolvedConfig, seed: int):
 
 
 def cmd_converge(args, rc: ResolvedConfig, seed: int):
-    eps_grid = [float(v) for v in args.eps_grid.split(",")]
-    if len(eps_grid) < 3:
-        raise ConfigError("--eps-grid needs at least 3 values for a rate fit")
+    eps_grid = _float_list(args.eps_grid, "--eps-grid")
+    if (len(eps_grid) < 3 or len(set(eps_grid)) < len(eps_grid)
+            or not all(0.0 < eps < 1.0 for eps in eps_grid)):
+        raise ConfigError("--eps-grid needs at least 3 values for a rate fit, "
+                          f"distinct and in (0, 1), got {args.eps_grid!r}")
     report = strong_error(rc.model, eps_grid, rc.t_final, rc.scheme,
                           _n_mc(rc), seed, theta=rc.theta)
     return _write_report(report, Path(args.out))
@@ -251,7 +272,7 @@ def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     kernel = OuKernel(model.eigs.eigenvalues[:d], model.q1.q[:d])
     axes = box_axes(kernel, n_per_axis=args.grid)
     check_picard_grid(tuple(a.shape[0] for a in axes))
-    lambdas = sorted(float(v) for v in args.lam.split(","))
+    lambdas = sorted(_float_list(args.lam, "--lambda"))
     check_lambdas(lambdas)
     params = _averaging_params(rc, 16.0)
 

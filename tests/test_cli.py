@@ -310,6 +310,39 @@ class TestDispatch:
                      "--T", "0.05"]) == 0
         assert sha(a) != sha(b)
 
+    @pytest.mark.parametrize("argv,env,cfg_seed", [
+        (["simulate", "--T", "0.05", "--seed", str(2**64 + 1)], None, "7"),
+        (["simulate", "--T", "0.05", f"--seed={1 - 2**64}"], None, "7"),
+        (["check", "--seed", "-1"], None, "7"),
+        (["verify", "--lemma", "contraction", "--n-mc", "2"], "-2", "7"),
+        (["verify", "--lemma", "holder", "--n-mc", "2"], None, "-3"),
+        (["check"], "abc", "7"),
+    ], ids=["flag-above-range", "flag-below-range", "check-flag-negative",
+            "contraction-env-negative", "holder-config-negative", "env-not-a-number"])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, argv, env, cfg_seed):
+        # NoiseStream keys on the seed mod 2^64 and numpy refuses negative
+        # seeds, so such a seed would alias another run or crash
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(SECTIONED.replace("seed = 7", f"seed = {cfg_seed}"))
+        if env is None:
+            monkeypatch.delenv("SPDE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SPDE_SEED", env)
+        out = tmp_path / "out.csv"
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err.lower()
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_largest_64_bit_seed_is_accepted(self, cfg_path, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--T", "0.05", "--seed", str(2**64 - 1)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["seed"] == 2**64 - 1
+
     def test_average_outputs_modes(self, cfg_path, tmp_path):
         out = tmp_path / "bbar.csv"
         code = main(["average", "--config", str(cfg_path), "--x", "zero",
@@ -428,16 +461,36 @@ class TestDispatch:
     @pytest.mark.parametrize("cfg_text,argv,message", [
         (SECTIONED, ["converge", "--eps-grid", "0.1,0.01"],
          "--eps-grid needs at least 3 values for a rate fit"),
+        (SECTIONED, ["converge", "--eps-grid", "0.1,0.01,abc"],
+         "--eps-grid takes comma-separated numbers, got '0.1,0.01,abc'"),
+        (SECTIONED, ["converge", "--eps-grid", "0.1,,0.01"],
+         "--eps-grid takes comma-separated numbers"),
+        (SECTIONED, ["converge", "--eps-grid", "0.1,0.1,0.1"],
+         "--eps-grid needs at least 3 values for a rate fit, distinct"),
+        (SECTIONED, ["converge", "--eps-grid", "0.1,0.01,2"],
+         "distinct and in (0, 1), got '0.1,0.01,2'"),
+        (SECTIONED, ["zvonkin", "--lambda", "1,abc", "--grid", "9"],
+         "--lambda takes comma-separated numbers, got '1,abc'"),
+        (SECTIONED, ["zvonkin", "--lambda", ",", "--grid", "9"],
+         "--lambda takes comma-separated numbers"),
         (SECTIONED, ["zvonkin", "--dim", "4", "--grid", "9"],
          "dim must be 1, 2 or 3"),
         (SECTIONED, ["average", "--Tb", "-1", "--Ta", "1"],
          "t_burn must be finite and nonnegative, got -1.0"),
         (SECTIONED + "[extra]\nn_modes = 16\n", ["check"],
          "duplicate config key 'n_modes'"),
-    ], ids=["converge-two-eps", "zvonkin-dim-4", "average-Tb-negative",
-            "key-in-two-sections"])
-    def test_refused_value_is_config_error(self, tmp_path, capsys, cfg_text,
-                                           argv, message):
+    ], ids=["converge-two-eps", "converge-eps-not-a-number", "converge-eps-empty",
+            "converge-eps-repeated", "converge-eps-out-of-range",
+            "zvonkin-lambda-not-a-number", "zvonkin-lambda-empty",
+            "zvonkin-dim-4", "average-Tb-negative", "key-in-two-sections"])
+    def test_refused_value_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                           cfg_text, argv, message):
+        from slowfast_spde import experiments
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the averaged path was built before the refusal")
+
+        monkeypatch.setattr(experiments, "simulate_averaged", no_work)
         cfg = tmp_path / "heat.cfg"
         cfg.write_text(cfg_text)
         out = tmp_path / "out.json"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
-from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig, _gammainc_lower,
+from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig,
                                  _lambda_norm_integral, _log_quadrature_nodes,
                                  _sup_scaled_ou_factor, check_assumptions,
                                  empirical_holder,
@@ -207,24 +207,6 @@ class TestEmpiricalHolder:
         assert q > 0.1  # nondegenerate
 
 
-class TestGammaincLower:
-    """A41's regularized lower incomplete gamma, with scipy as the oracle."""
-
-    def test_agrees_with_scipy(self):
-        from scipy.special import gammainc
-
-        x = np.geomspace(1e-6, 1e3, 400)
-        for a in np.geomspace(0.01, 0.99, 60):
-            want = gammainc(a, x)
-            np.testing.assert_allclose(_gammainc_lower(a, x), want, rtol=1e-14,
-                                       atol=0.0)
-
-    @pytest.mark.parametrize("a", [0.01, 0.45, 0.99])
-    def test_exactly_one_from_the_cut(self, a):
-        x = np.array([50.0, 50.0 + 1e-12, 80.0, 1e3, 1e300])
-        assert np.all(_gammainc_lower(a, x) == 1.0)
-
-
 def reference_lambda_norm(t, a_lam, p_lam, p_q, extra=0.0):
     """||lambda^extra Q(t)^{-1/2} e^{tA}|| as the max over the discrete
     modes lambda_k = a_lam k^p_lam, q_k = k^-p_q, per time in ``t``: the
@@ -286,6 +268,24 @@ class TestLambdaNormIntegral:
         assert bound >= float(np.sum(weights * np.exp(-nodes) * vals))
 
     @pytest.mark.parametrize("case", ADMISSIBLE)
+    def test_sup_factor_is_the_dense_max_from_above(self, case):
+        _, p_lam, p_q, _, extra = case
+        rho = p_q / p_lam
+        e = (1.0 + rho) / 2.0 + extra
+        s = np.geomspace(1e-8, 60.0, 4_000_000)
+        dense = float(np.max(s**e * np.exp(-s) / np.sqrt(-np.expm1(-2.0 * s))))
+        sup = _sup_scaled_ou_factor(rho, extra)
+        assert sup >= dense
+        if e > 0.5:
+            assert sup - dense <= 1e-11 * dense
+        else:
+            assert sup == math.sqrt(0.5)
+
+    def test_sup_factor_is_infinite_below_one_half(self):
+        # e = (1 + rho)/2 < 1/2: s^e / sqrt(1 - e^{-2s}) blows up at s = 0+
+        assert _sup_scaled_ou_factor(-0.2, 0.0) == math.inf
+
+    @pytest.mark.parametrize("case", ADMISSIBLE)
     def test_within_thirty_percent_of_the_quadrature_value(self, case):
         _, bound = _lambda_norm_integral(*case)
         assert bound <= 1.3 * reference_lambda_norm_integral(*case)
@@ -299,6 +299,30 @@ class TestLambdaNormIntegral:
     def test_divergent_exponent_gives_inf(self):
         c, bound = _lambda_norm_integral(1.0, 2.0, 0.26, 1.9)
         assert c == pytest.approx(1.0735) and bound == math.inf
+
+
+def reference_a41_terms(k, a_lam, p_lam, pq1, theta):
+    """A41's per-mode integrals over [0, T], T = 1, before the checker took
+    them over [0, inf): q_k (2 lambda_k)^(theta-1) Gamma(1-theta)
+    P(1-theta, 2 lambda_k T)."""
+    from scipy.special import gammainc
+
+    lam = a_lam * k**p_lam
+    return (k ** -pq1 * (2.0 * lam) ** (theta - 1.0) * math.gamma(1.0 - theta)
+            * gammainc(1.0 - theta, 2.0 * lam))
+
+
+def reference_a42_terms(k, a_lam, p_lam, pq1, theta):
+    """A42's per-mode integrals over [0, T], T = 1: lambda_k^theta q_k
+    (1 - e^{-2 lambda_k T}) / (2 lambda_k)."""
+    lam = a_lam * k**p_lam
+    return lam**theta * k ** -pq1 * -np.expm1(-2.0 * lam) / (2.0 * lam)
+
+
+# the checker cases pinned in data/frozen_reference.npz
+PINNED_CHECKS = [("constant", 0.55, None)] + [
+    (n, theta, kappa1) for n in (8, 32) for theta in (0.55, 0.65)
+    for kappa1 in (None, 0.75)]
 
 
 class TestChecker:
@@ -345,6 +369,48 @@ class TestChecker:
         assert rep["A41_weighted_trace"].status == "fails"
         w = rep["A41_weighted_trace"].witness
         assert w["partial_sum_2K"] > w["partial_sum_K"]  # divergence witness
+
+    @pytest.mark.parametrize("case", PINNED_CHECKS)
+    def test_a4_bounds_the_finite_horizon_sums(self, case):
+        # each [0, inf) witness is at least the [0, 1] sum and at most that
+        # sum times the first mode's ratio, the largest over the modes
+        from scipy.special import gammainc
+
+        model, theta, kappa1 = case
+        config = (make_broken_constant_spectrum() if model == "constant"
+                  else heat_example(0.1, 0.1, model))
+        rep = check_assumptions(config, theta, kappa1=kappa1)
+        a_lam = config.eigs.growth_coefficient
+        p_lam = config.eigs.growth_exponent
+        pq1 = 2.0 * config.q1.decay_exponent
+        # the first mode's lambda_1 is a_lam under the declared law
+        for name, terms, worst in (
+                ("A41_weighted_trace", reference_a41_terms,
+                 1.0 / gammainc(1.0 - theta, 2.0 * a_lam)),
+                ("A42_smoothed_trace", reference_a42_terms,
+                 1.0 / -math.expm1(-2.0 * a_lam))):
+            w = rep[name].witness
+            if rep[name].status == "holds":
+                pairs = [(w["total"], w["K"], w["tail_bound"])]
+            else:
+                pairs = [(w["partial_sum_K"], w["K"], 0.0),
+                         (w["partial_sum_2K"], 2 * w["K"], 0.0)]
+            for value, k_max, tail in pairs:
+                k = np.arange(1, k_max + 1, dtype=float)
+                ref = float(np.sum(terms(k, a_lam, p_lam, pq1, theta))) + tail
+                assert ref <= value <= ref * worst * (1.0 + 1e-12), name
+
+    def test_single_mode_heat_model_holds_everywhere(self):
+        # lambda_1 = lambda_N, yet the declared law k^2 is unbounded
+        rep = check_assumptions(heat_example(0.1, 0.1, 1), theta=0.55)
+        assert rep.all_hold, rep.summary()
+
+    def test_slow_declared_growth_holds_a2_and_fails_a3(self, heat8):
+        k = np.arange(1, 9, dtype=float)
+        slow = replace(heat8, eigs=OperatorSpectrum(k**0.04, growth_exponent=0.04))
+        rep = check_assumptions(slow, theta=0.55)
+        assert rep["A2_diagonal_operator"].status == "holds"
+        assert rep["A3_spectrum_summability"].status == "fails"
 
     def test_constant_spectrum_fails_a3(self):
         rep = check_assumptions(make_broken_constant_spectrum(), theta=0.55)
