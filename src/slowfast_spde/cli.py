@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,28 +47,9 @@ from .noise import derive_substream
 from .simulate import simulate_slow_fast
 from .spectral import SpectralField, h_norm
 from .zvonkin import (OuKernel, TruncatedFunction, box_axes, check_lambdas,
-                      check_picard_grid, resolvent_solutions)
+                      check_picard_grid, picard_solve)
 
 _ENV_SEED = "SPDE_SEED"
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record emitted for every run."""
-
-    subcommand: str
-    config: dict
-    flags: dict
-    seed: int
-    version: str
-    wall_clock_s: float
-    outputs: dict
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -84,17 +64,17 @@ def _write_csv(path: Path, rows) -> None:
 
 def _emit_manifest(args, rc: ResolvedConfig, seed: int, wall_clock_s: float,
                    outputs: list[Path]) -> None:
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config=rc.echo,
-        flags={k: v for k, v in vars(args).items()
-               if k not in _KEYS and k not in ("subcommand", "handler")},
-        seed=seed,
-        version=__version__,
-        wall_clock_s=wall_clock_s,
-        outputs={str(p): _sha256(p) for p in outputs if p.exists()},
-    )
-    _write_json(Path(str(outputs[0]) + ".manifest.json"), asdict(manifest))
+    _write_json(Path(str(outputs[0]) + ".manifest.json"), {
+        "subcommand": args.subcommand,
+        "config": rc.echo,
+        "flags": {k: v for k, v in vars(args).items()
+                  if k not in _KEYS and k not in ("subcommand", "handler")},
+        "seed": seed,
+        "version": __version__,
+        "wall_clock_s": wall_clock_s,
+        "outputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in outputs if p.exists()},
+    })
 
 
 def _resolve_seed(args, rc: ResolvedConfig) -> int:
@@ -228,40 +208,38 @@ def cmd_converge(args, rc: ResolvedConfig, seed: int):
     return _write_report(report, Path(args.out))
 
 
-_LEMMAS = ("contraction", "increments", "aux-fast", "correlation", "moments",
-           "ergodicity", "holder")
+def _block_lemma(experiment, rc: ResolvedConfig, seed: int) -> ExperimentReport:
+    """increments or aux-fast, freezing blocks of 64, 32, 16, 8 and 4
+    macro steps."""
+    n_mc = _n_mc(rc)
+    deltas = [rc.scheme.dt_macro * 2.0**k for k in range(6, 1, -1)]
+    return experiment(rc.model, _eps(rc), deltas, rc.t_final, rc.scheme, n_mc,
+                      seed, theta=rc.theta)
+
+
+# verify's lemmas: name -> report of (rc, seed).  The lambdas look the
+# experiments up as module globals when they run.
+_LEMMAS = {
+    "contraction": lambda rc, seed: contraction_test(
+        rc.model, t_checks=(1.0, 2.0, 4.0), dt=0.01, n_mc=_n_mc(rc), seed=seed),
+    "increments": lambda rc, seed: _block_lemma(increment_scaling, rc, seed),
+    "aux-fast": lambda rc, seed: _block_lemma(aux_fast_error, rc, seed),
+    "correlation": lambda rc, seed: correlation_decay(
+        rc.model, np.zeros(rc.model.n_modes), lag_max=16.0, n_mc=_n_mc(rc),
+        seed=seed),
+    "moments": lambda rc, seed: moment_sweep(
+        rc.model, (1e-1, 1e-2, 1e-3), rc.t_final, rc.scheme, _n_mc(rc), seed),
+    # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
+    "ergodicity": lambda rc, seed: ergodic_consistency(
+        rc.model, _averaging_params(rc, None), seed),
+    "holder": lambda rc, seed: averaged_drift_holder(
+        rc.model, n_pairs=_n_mc(rc), params=_averaging_params(rc, 16.0),
+        seed=seed),
+}
 
 
 def cmd_verify(args, rc: ResolvedConfig, seed: int):
-    # ergodicity takes no Monte-Carlo count, so its n_mc is never checked
-    n_mc = None if args.lemma == "ergodicity" else _n_mc(rc)
-    model, scheme, theta = rc.model, rc.scheme, rc.theta
-    # freezing blocks of 64, 32, 16, 8 and 4 macro steps
-    deltas = [scheme.dt_macro * 2.0**k for k in range(6, 1, -1)]
-    if args.lemma == "contraction":
-        report = contraction_test(model, t_checks=(1.0, 2.0, 4.0), dt=0.01,
-                                  n_mc=n_mc, seed=seed)
-    elif args.lemma == "increments":
-        report = increment_scaling(model, _eps(rc), deltas, rc.t_final, scheme,
-                                   n_mc, seed, theta=theta)
-    elif args.lemma == "aux-fast":
-        report = aux_fast_error(model, _eps(rc), deltas, rc.t_final, scheme,
-                                n_mc, seed, theta=theta)
-    elif args.lemma == "correlation":
-        report = correlation_decay(model, np.zeros(model.n_modes),
-                                   lag_max=16.0, n_mc=n_mc, seed=seed)
-    elif args.lemma == "moments":
-        report = moment_sweep(model, (1e-1, 1e-2, 1e-3), rc.t_final, scheme,
-                              n_mc, seed)
-    elif args.lemma == "ergodicity":
-        report = ergodic_consistency(model, _averaging_params(rc, None), seed)
-    elif args.lemma == "holder":
-        report = averaged_drift_holder(model, n_pairs=n_mc,
-                                       params=_averaging_params(rc, 16.0),
-                                       seed=seed)
-    else:  # unreachable with argparse choices
-        raise ConfigError(f"unknown lemma {args.lemma!r}")
-    return _write_report(report, Path(args.out))
+    return _write_report(_LEMMAS[args.lemma](rc, seed), Path(args.out))
 
 
 def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
@@ -286,7 +264,7 @@ def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     # The solvers read the drift only at g's nodes, where the table
     # returns its values exactly: one Monte-Carlo estimate serves all.
     g = TruncatedFunction.from_callable(bbar_truncated, axes)
-    solutions = resolvent_solutions(g, g, kernel, lambdas)
+    solutions = [picard_solve(g, g, lam, kernel) for lam in lambdas]
     rows = [s.table_row() for s in solutions]
     sol = solutions[0]
 
@@ -311,6 +289,21 @@ def cmd_zvonkin(args, rc: ResolvedConfig, seed: int):
     return [out, json_path], 0
 
 
+# flag -> (config key, help) of every flag that overrides a config key;
+# the flag takes its key's type from config._KEYS
+_KEY_FLAGS = {
+    "--eps": ("eps", None),
+    "--T": ("t_final", None),
+    "--dt": ("dt", None),
+    "--theta": ("theta", None),
+    "--Tb": ("t_burn", "burn-in time of the averaged-drift estimate"),
+    "--Ta": ("t_avg", "averaging time"),
+    "--dt-frozen": ("dt_frozen", None),
+    "--replicas": ("replicas", None),
+    "--n-mc": ("n_mc", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowfast-spde",
@@ -319,63 +312,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out_default):
+    def command(name, text, handler, out_default, *key_flags):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--seed", type=int, default=None,
                        help=f"root seed (overrides config and ${_ENV_SEED})")
         p.add_argument("--out", default=out_default, help="output path")
+        for flag in key_flags:
+            key, flag_help = _KEY_FLAGS[flag]
+            p.add_argument(flag, dest=key, type=_KEYS[key][0], help=flag_help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("simulate", help="integrate one coupled trajectory")
-    common(p, "trajectory.csv")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--T", dest="t_final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("average", help="estimate the averaged drift at a point")
-    common(p, "bbar.csv")
+    command("simulate", "integrate one coupled trajectory", cmd_simulate,
+            "trajectory.csv", "--eps", "--T", "--dt")
+    p = command("average", "estimate the averaged drift at a point", cmd_average,
+                "bbar.csv", "--Tb", "--Ta", "--dt-frozen", "--replicas")
     p.add_argument("--x", default="zero", help="'zero' or a one-row or one-column CSV "
                    "of at most n_modes finite coefficients, padded with zeros")
-    p.add_argument("--Tb", dest="t_burn", type=float, default=None,
-                   help="burn-in time")
-    p.add_argument("--Ta", dest="t_avg", type=float, default=None,
-                   help="averaging time")
-    p.add_argument("--dt-frozen", dest="dt_frozen", type=float, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.set_defaults(handler=cmd_average)
-
-    p = sub.add_parser("check", help="run the assumption checker")
-    common(p, None)
-    p.add_argument("--theta", type=float, default=None)
+    p = command("check", "run the assumption checker", cmd_check, None, "--theta")
     p.add_argument("--kappa1", type=float, default=None)
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("converge", help="strong-convergence experiment")
-    common(p, "strong_error.json")
+    p = command("converge", "strong-convergence experiment", cmd_converge,
+                "strong_error.json", "--T", "--dt", "--n-mc")
     p.add_argument("--eps-grid", dest="eps_grid", default="1e-1,3e-2,1e-2,3e-3")
-    p.add_argument("--T", dest="t_final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p.set_defaults(handler=cmd_converge)
-
-    p = sub.add_parser("verify", help="run one named verification experiment")
-    common(p, "verify.json")
+    p = command("verify", "run one named verification experiment", cmd_verify,
+                "verify.json", "--eps", "--n-mc", "--Tb", "--Ta")
     p.add_argument("--lemma", required=True, choices=_LEMMAS)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p.add_argument("--Tb", dest="t_burn", type=float, default=None)
-    p.add_argument("--Ta", dest="t_avg", type=float, default=None)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("zvonkin", help="solve the truncated elliptic equation")
-    common(p, "zvonkin.csv")
+    p = command("zvonkin", "solve the truncated elliptic equation", cmd_zvonkin,
+                "zvonkin.csv", "--Tb")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--lambda", dest="lam", default="1,10,100",
                    help="comma-separated increasing resolvent parameters")
     p.add_argument("--grid", type=int, default=129, help="points per axis")
-    p.add_argument("--Tb", dest="t_burn", type=float, default=None,
-                   help="burn-in time of the averaged-drift estimate")
-    p.set_defaults(handler=cmd_zvonkin)
     return parser
 
 

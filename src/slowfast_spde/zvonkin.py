@@ -61,7 +61,6 @@ __all__ = [
     "ou_gradient_apply",
     "picard_solve",
     "dlambda_curve",
-    "resolvent_solutions",
     "check_lambdas",
     "check_picard_grid",
     "MAX_PICARD_NODES",
@@ -464,21 +463,15 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
                            change_history=history)
 
 
-def resolvent_solutions(g: TruncatedFunction, bbar, kernel: OuKernel,
-                        lambdas, order: int = 24) -> list[ZvonkinSolution]:
-    """One :func:`picard_solve` per lambda; lambdas must strictly increase."""
-    lambdas = list(lambdas)
-    check_lambdas(lambdas)
-    return [picard_solve(g, bbar, lam, kernel, order=order) for lam in lambdas]
-
-
 def dlambda_curve(g: TruncatedFunction, bbar, kernel: OuKernel,
                   lambdas, order: int = 24) -> list[dict]:
     """Resolvent norms across increasing lambda.
 
     Returns one :meth:`ZvonkinSolution.table_row` per lambda: sup|U|,
     sup|DU| (Frobenius per point) and the fixed-point residual; the sup
-    norms decay as lambda grows.
+    norms decay as lambda grows.  The lambdas must strictly increase.
     """
-    return [sol.table_row()
-            for sol in resolvent_solutions(g, bbar, kernel, lambdas, order=order)]
+    lambdas = list(lambdas)
+    check_lambdas(lambdas)
+    return [picard_solve(g, bbar, lam, kernel, order=order).table_row()
+            for lam in lambdas]

@@ -206,6 +206,76 @@ class TestDriftExpressions:
         assert callable(drift)
 
 
+_COMMON = {"--config": ("config", None, None, None, True),
+           "--seed": ("seed", int, None, None, False)}
+_LEMMA_NAMES = ("contraction", "increments", "aux-fast", "correlation",
+                "moments", "ergodicity", "holder")
+
+# subcommand -> option string -> (dest, type, default, choices, required)
+CLI_SURFACE = {
+    "simulate": {**_COMMON,
+                 "--out": ("out", None, "trajectory.csv", None, False),
+                 "--eps": ("eps", float, None, None, False),
+                 "--T": ("t_final", float, None, None, False),
+                 "--dt": ("dt", float, None, None, False)},
+    "average": {**_COMMON,
+                "--out": ("out", None, "bbar.csv", None, False),
+                "--x": ("x", None, "zero", None, False),
+                "--Tb": ("t_burn", float, None, None, False),
+                "--Ta": ("t_avg", float, None, None, False),
+                "--dt-frozen": ("dt_frozen", float, None, None, False),
+                "--replicas": ("replicas", int, None, None, False)},
+    "check": {**_COMMON,
+              "--out": ("out", None, None, None, False),
+              "--theta": ("theta", float, None, None, False),
+              "--kappa1": ("kappa1", float, None, None, False)},
+    "converge": {**_COMMON,
+                 "--out": ("out", None, "strong_error.json", None, False),
+                 "--eps-grid": ("eps_grid", None, "1e-1,3e-2,1e-2,3e-3", None, False),
+                 "--T": ("t_final", float, None, None, False),
+                 "--dt": ("dt", float, None, None, False),
+                 "--n-mc": ("n_mc", int, None, None, False)},
+    "verify": {**_COMMON,
+               "--out": ("out", None, "verify.json", None, False),
+               "--lemma": ("lemma", None, None, _LEMMA_NAMES, True),
+               "--eps": ("eps", float, None, None, False),
+               "--n-mc": ("n_mc", int, None, None, False),
+               "--Tb": ("t_burn", float, None, None, False),
+               "--Ta": ("t_avg", float, None, None, False)},
+    "zvonkin": {**_COMMON,
+                "--out": ("out", None, "zvonkin.csv", None, False),
+                "--dim": ("dim", int, 1, None, False),
+                "--lambda": ("lam", None, "1,10,100", None, False),
+                "--grid": ("grid", int, 129, None, False),
+                "--Tb": ("t_burn", float, None, None, False)},
+}
+
+
+def test_cli_surface_is_pinned():
+    # every subcommand's options: strings, dest, type, default, choices
+    # and whether required; only their order is free
+    import argparse
+
+    from slowfast_spde.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, p in sub.choices.items():
+        options = {}
+        for a in p._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            assert len(a.option_strings) == 1, a.option_strings
+            choices = None if a.choices is None else tuple(a.choices)
+            options[a.option_strings[0]] = (a.dest, a.type, a.default, choices,
+                                            a.required)
+        surface[name] = options
+        assert callable(p.get_default("handler"))
+    assert surface == CLI_SURFACE
+
+
 class TestDispatch:
     def test_no_arguments_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
