@@ -592,7 +592,8 @@ def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
     agree = diff <= 3.0 * combined
 
     diag = mixing_diagnostic(config, xs[0], horizon=mixing_horizon,
-                             n_replicas=mixing_replicas, seed=seed + 1)
+                             n_replicas=mixing_replicas,
+                             seed=(seed + 1) % 2**64)
     target = config.spectral_gap * config.beta / 2.0
     rate_ok = (not diag.insufficient_data
                and diag.rate >= target - diag.rate_ci)

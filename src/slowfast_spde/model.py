@@ -40,7 +40,9 @@ the large-field forms may be the slower ones.
 
 :func:`check_assumptions` verifies the dissipativity/trace conditions
 that the averaging theory needs.  It reads the power laws that the
-spectra declare (a spectrum without one is refused), for which every
+spectra declare (a spectrum without one is refused, and the spectra
+refuse at construction a non-finite exponent or a growth coefficient
+that is not finite and positive), for which every
 series and integral has a closed per-mode form; the checker stores a
 finite witness for each "holds" verdict: for a series coef * sum_k k^-s
 (A41 and A42 integrate over [0, inf)) a partial sum plus an
@@ -315,20 +317,6 @@ def _sup_scaled_ou_factor(rho: float, extra: float) -> float:
         else:
             hi = mid
     return mid**e * math.exp(-mid) / math.sqrt(-math.expm1(-2.0 * mid))
-
-
-def _log_quadrature_nodes(t_min: float, t_max: float, n_panels: int,
-                          order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on log-spaced panels of [t_min, t_max],
-    for the time integral of :func:`zvonkin.picard_solve`, its only caller."""
-    edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), n_panels + 1))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * gl_x)
-        weights.append(half * gl_w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _lambda_norm_integral(a_lam, p_lam, p_q, power: float,

@@ -22,6 +22,7 @@ streams.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ class NoiseSpectrum:
 
     ``decay_exponent`` declares r for the power law q_k = k^{-2r} of the
     built-in heat model; the assumption checker sums its series with it
-    and refuses a spectrum that declares none.
+    and refuses a spectrum that declares none.  A declared r must be
+    finite.
     """
 
     q: np.ndarray
@@ -57,6 +59,9 @@ class NoiseSpectrum:
             raise ValueError("q must be one-dimensional")
         if np.any(q < 0.0):
             raise ValueError("noise intensities must be nonnegative")
+        if self.decay_exponent is not None and not math.isfinite(self.decay_exponent):
+            raise ValueError(
+                f"decay_exponent must be finite, got {self.decay_exponent}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -81,7 +86,8 @@ class NoiseStream:
     Identical (seed, index, role) and draw order give bit-identical
     output.  Distinct (index, role) pairs yield statistically
     independent streams; the role tag separates the driving noises of
-    the slow and fast equations.
+    the slow and fast equations.  The seed is an integer in [0, 2^64),
+    so distinct seeds never share a stream.
     """
 
     __slots__ = ("seed", "index", "role", "n_modes", "_gen", "draws")
@@ -89,7 +95,9 @@ class NoiseStream:
     def __init__(self, seed: int, n_modes: int, index: int = 0, role: str = "W1"):
         if n_modes < 1:
             raise ValueError("n_modes must be positive")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
         self.index = int(index)
         self.role = str(role)
         self.n_modes = int(n_modes)

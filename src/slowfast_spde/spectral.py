@@ -42,6 +42,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,7 +130,8 @@ class OperatorSpectrum:
     ``growth_exponent`` p and ``growth_coefficient`` c declare the power
     law lambda_k = c k^p that the assumption checker sums its series
     with; for the built-in heat model it is exact (p = 2, c = 1).  The
-    checker refuses a spectrum that declares none.
+    checker refuses a spectrum that declares none; a declared p must be
+    finite and c finite and positive.
     """
 
     eigenvalues: np.ndarray
@@ -144,6 +146,12 @@ class OperatorSpectrum:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) < 0.0):
             raise ValueError("eigenvalues must be nondecreasing")
+        if self.growth_exponent is not None and not math.isfinite(self.growth_exponent):
+            raise ValueError(
+                f"growth_exponent must be finite, got {self.growth_exponent}")
+        if not 0.0 < self.growth_coefficient < math.inf:
+            raise ValueError("growth_coefficient must be finite and positive, "
+                             f"got {self.growth_coefficient}")
         object.__setattr__(self, "eigenvalues", eig)
 
     @property

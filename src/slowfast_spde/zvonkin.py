@@ -16,9 +16,13 @@ state live on tensor grids with multilinear interpolation
 DU are bounded, so clamping is consistent).
 
 The iteration starts from U_0 = 0 and contracts once lambda is large
-enough; the time integral is truncated at T_max = 40 / lambda_1 on
-log-spaced Gauss-Legendre panels (``model._log_quadrature_nodes``), so
-the damped tail is below e^{-lambda T_max} of the integrand bound.
+enough; the time integral is truncated at T_max = 40 / min(lambda,
+lambda_1) on log-spaced Gauss-Legendre panels
+(:func:`_log_quadrature_nodes`, here), so the damped tail is below
+e^{-lambda T_max} <= e^{-40} of the integrand bound for every lambda.
+:func:`picard_solve` is the resolvent solve for one lambda, and
+:func:`dlambda_curve` calls it once per lambda.  Non-finite G or Bbar
+values are refused with :class:`IntegrationError` naming the grid node.
 
 A sweep is linear in psi = G + <Bbar, DU>, and its transition
 operators do not depend on the iterate, so :func:`picard_solve`
@@ -48,8 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PicardDivergenceError
-from .model import _log_quadrature_nodes
+from .errors import ConfigError, IntegrationError, PicardDivergenceError
 from .noise import _ou_law
 
 __all__ = [
@@ -303,6 +306,20 @@ def check_picard_grid(grid_shape) -> None:
         )
 
 
+def _log_quadrature_nodes(t_min: float, t_max: float, n_panels: int,
+                          order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on log-spaced panels of [t_min, t_max],
+    for the time integral of :func:`picard_solve`."""
+    edges = np.exp(np.linspace(math.log(t_min), math.log(t_max), n_panels + 1))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * gl_x)
+        weights.append(half * gl_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _axis_matrices(axis: np.ndarray, decay: np.ndarray, std: np.ndarray,
                    z: np.ndarray, w: np.ndarray, damp: np.ndarray | None = None):
     """Per-node 1-D transition matrices on one axis, or their damped sum.
@@ -388,6 +405,17 @@ def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
     return a_op, ops[1:]
 
 
+def _require_finite(name: str, vals: np.ndarray, x: np.ndarray) -> None:
+    """IntegrationError naming the first grid node of ``x`` (G, d) where
+    ``vals`` (grid shape first) is not finite."""
+    bad = ~np.all(np.isfinite(vals.reshape(x.shape[0], -1)), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        where = ", ".join(f"{v:.6g}" for v in x[i])
+        raise IntegrationError(
+            f"{name} is not finite at grid node {i}, x = ({where})")
+
+
 def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
                  order: int = 24, max_iter: int = 60) -> ZvonkinSolution:
     """Solve lambda*U - L*U = G by iterating the damped integral map.
@@ -400,25 +428,34 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     is two matrix products.  ``order`` is the Gauss-Hermite order per
     axis.  The time integral takes T_t = Id on [0, _T_MIN] and
     _GL_ORDER-point Gauss-Legendre rules on _N_PANELS log-spaced panels
-    of [_T_MIN, 40 / lambda_1] (_T_MIN = 1e-8, _GL_ORDER = 8, _N_PANELS
-    = 30).  Stops when the sup-norm change of (U, DU) falls below
-    1e-3 * sup|G|; growth of the change across three consecutive sweeps
-    raises :class:`PicardDivergenceError` (increase lambda).  Grids of more
-    than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`.
+    of [_T_MIN, T_max] (:func:`_log_quadrature_nodes`; _T_MIN = 1e-8,
+    _GL_ORDER = 8, _N_PANELS = 30), where T_max = 40 / min(lambda,
+    lambda_1) leaves a tail of at most e^{-40} of the integral.  Stops
+    when the sup-norm change of (U, DU) falls below 1e-3 * sup|G|;
+    growth of the change across three consecutive sweeps raises
+    :class:`PicardDivergenceError` (increase lambda).  Grids of more
+    than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`, and
+    a G or Bbar that is not finite at a grid node raises
+    :class:`IntegrationError` naming the node, before any assembly.
     """
     check_lambdas([lam])
     d = kernel.dim
     if g.dim != d:
         raise ConfigError("g and kernel dimensions differ")
     check_picard_grid(g.grid_shape)
+    t_max = 40.0 / min(lam, float(kernel.eigenvalues[0]))
+    if t_max == math.inf:
+        raise ConfigError(f"lambda={lam:g} is too small for a finite time horizon")
     out = g.out_shape
     x = g.grid_points()
+    _require_finite("G", g.values, x)
     bbar_vals = np.asarray(bbar(x), dtype=float).reshape(g.grid_shape + (d,))
+    _require_finite("Bbar", bbar_vals, x)
     tol = 1e-3 * max(g.sup_norm(), 1e-12)
 
-    t_max = 40.0 / float(kernel.eigenvalues[0])
     nodes, weights = _log_quadrature_nodes(_T_MIN, t_max, _N_PANELS, _GL_ORDER)
-    damp = weights * np.exp(-lam * nodes)
+    with np.errstate(over="ignore"):  # lam * t may reach inf: e^-inf = 0
+        damp = weights * np.exp(-lam * nodes)
     head = -math.expm1(-lam * _T_MIN) / lam  # int_0^tmin e^{-lam t} dt, T_t ~ Id
     a_op, b_op = _sweep_operators(g.axes, kernel, order, nodes, damp, head)
 

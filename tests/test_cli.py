@@ -413,6 +413,15 @@ class TestDispatch:
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["seed"] == 2**64 - 1
 
+    def test_ergodicity_runs_at_the_largest_64_bit_seed(self, cfg_path, tmp_path):
+        # its mixing run takes the next seed, which wraps to 0
+        out = tmp_path / "ergodicity.json"
+        code = main(["verify", "--lemma", "ergodicity", "--config", str(cfg_path),
+                     "--Tb", "1", "--Ta", "2", "--seed", str(2**64 - 1),
+                     "--out", str(out)])
+        assert code in (0, 1)
+        assert json.loads(out.read_text())["seed"] == 2**64 - 1
+
     def test_average_outputs_modes(self, cfg_path, tmp_path):
         out = tmp_path / "bbar.csv"
         code = main(["average", "--config", str(cfg_path), "--x", "zero",

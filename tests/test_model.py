@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig,
-                                 _lambda_norm_integral, _log_quadrature_nodes,
+                                 _lambda_norm_integral,
                                  _sup_scaled_ou_factor, check_assumptions,
                                  empirical_holder,
                                  heat_drift_b, heat_drift_f, heat_example,
@@ -18,6 +18,7 @@ from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig,
 from slowfast_spde.noise import NoiseSpectrum, power_law_spectrum
 from slowfast_spde.simulate import _drift_coeffs, _frozen_fast
 from slowfast_spde.spectral import OperatorSpectrum, grid_points
+from slowfast_spde.zvonkin import _log_quadrature_nodes
 
 
 def make_broken_constant_spectrum(n=16):

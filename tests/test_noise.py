@@ -152,6 +152,23 @@ class TestBlockDraw:
         with pytest.raises(ValueError, match=message):
             nz.NoiseSpectrum(q)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_declared_decay_must_be_finite(self, r):
+        with pytest.raises(ValueError, match="decay_exponent"):
+            nz.NoiseSpectrum(np.ones(8), decay_exponent=r)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64) + 1])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # masking to 64 bits would give these the stream of another seed
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            nz.NoiseStream(seed, 4)
+
+    def test_largest_64_bit_seed_has_its_own_stream(self):
+        top = nz.NoiseStream(2**64 - 1, 4)
+        assert top.seed == 2**64 - 1
+        assert not np.array_equal(top.standard_normals(),
+                                  nz.NoiseStream(0, 4).standard_normals())
+
     def test_stream_without_modes_is_rejected(self):
         with pytest.raises(ValueError, match="n_modes must be positive"):
             nz.NoiseStream(3, 0)

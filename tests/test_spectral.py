@@ -250,3 +250,20 @@ class TestImmutability:
             sp.OperatorSpectrum(np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             sp.OperatorSpectrum(np.array([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("field,value", [
+        ("growth_exponent", np.nan), ("growth_exponent", np.inf),
+        ("growth_exponent", -np.inf), ("growth_coefficient", np.inf),
+        ("growth_coefficient", np.nan), ("growth_coefficient", 0.0),
+        ("growth_coefficient", -1.0),
+    ])
+    def test_declared_power_law_must_be_summable(self, field, value):
+        # the checker would sum NaN or complex series with these and say
+        # "holds", or crash
+        declared = {"growth_exponent": 2.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            sp.OperatorSpectrum(np.arange(1.0, 9.0) ** 2, **declared)
+
+    def test_flat_declared_spectrum_is_valid(self):
+        eigs = sp.OperatorSpectrum(np.ones(16), growth_exponent=0.0)
+        assert eigs.growth_exponent == 0.0 and eigs.growth_coefficient == 1.0

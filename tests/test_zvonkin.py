@@ -1,7 +1,9 @@
 """Resolvent closed forms, transition quadrature, fixed-point behavior."""
 
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast_spde import zvonkin
-from slowfast_spde.errors import ConfigError, PicardDivergenceError
-from slowfast_spde.model import _log_quadrature_nodes
+from slowfast_spde.errors import ConfigError, IntegrationError, PicardDivergenceError
 from slowfast_spde.noise import NoiseSpectrum, conv_increment_law
 from slowfast_spde.spectral import OperatorSpectrum
 from slowfast_spde.zvonkin import (MAX_PICARD_NODES, OuKernel, TruncatedFunction,
-                                   box_axes, check_picard_grid, dlambda_curve,
+                                   _log_quadrature_nodes, box_axes,
+                                   check_picard_grid, dlambda_curve,
                                    ou_gradient_apply, ou_semigroup_apply,
                                    picard_solve)
 
@@ -193,9 +195,48 @@ class TestPicard:
     def test_constant_g_exact_inverse_lambda_decay(self, axes):
         g = TruncatedFunction.from_callable(
             lambda p: np.full((p.shape[0], 1), 1.0), axes)
-        for lam in (1.0, 4.0, 16.0):
+        for lam in (0.01, 0.1, 1.0, 4.0, 16.0):
             sol = picard_solve(g, zero_bbar, lam, KERNEL, order=12)
             assert np.max(np.abs(sol.u.values - 1.0 / lam)) < 1e-8 / lam * 100
+
+    def test_largest_lambda_damps_without_overflow_warnings(self, axes):
+        g = TruncatedFunction.from_callable(
+            lambda p: np.full((p.shape[0], 1), 1.0), axes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = picard_solve(g, zero_bbar, 1e308, KERNEL, order=12)
+        assert sol.converged
+        assert np.allclose(sol.u.values, 1e-308, rtol=1e-12, atol=0.0)
+
+    def test_lambda_without_a_finite_horizon_is_refused(self, axes):
+        g = TruncatedFunction.from_callable(
+            lambda p: np.full((p.shape[0], 1), 1.0), axes)
+        with pytest.raises(ConfigError, match="too small for a finite time horizon"):
+            picard_solve(g, zero_bbar, 1e-310, KERNEL)
+
+    @pytest.mark.parametrize("g_value,bbar_value,message", [
+        (math.nan, 0.0, "G is not finite at grid node 3, x = "),
+        (1.0, math.nan, "Bbar is not finite at grid node 3, x = "),
+        (1.0, math.inf, "Bbar is not finite at grid node 3, x = "),
+    ], ids=["G-nan", "Bbar-nan", "Bbar-inf"])
+    def test_non_finite_data_is_refused_before_assembly(
+            self, axes, monkeypatch, g_value, bbar_value, message):
+        def no_assembly(*args):
+            raise AssertionError("assembled a sweep for non-finite data")
+
+        monkeypatch.setattr(zvonkin, "_sweep_operators", no_assembly)
+        values = np.ones((axes[0].size, 1))
+        values[3] = g_value
+        g = TruncatedFunction(axes, values)
+
+        def bbar(pts):
+            out = np.zeros((np.atleast_2d(pts).shape[0], 1))
+            out[3:5] = bbar_value
+            return out
+
+        with pytest.raises(IntegrationError, match=re.escape(
+                message + f"({axes[0][3]:.6g})")):
+            picard_solve(g, bbar, 1.0, KERNEL)
 
     def test_divergence_suggests_larger_lambda(self, axes):
         g = TruncatedFunction.from_callable(lambda p: np.cos(p), axes)
