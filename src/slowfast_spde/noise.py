@@ -86,8 +86,8 @@ class NoiseStream:
     Identical (seed, index, role) and draw order give bit-identical
     output.  Distinct (index, role) pairs yield statistically
     independent streams; the role tag separates the driving noises of
-    the slow and fast equations.  The seed is an integer in [0, 2^64),
-    so distinct seeds never share a stream.
+    the slow and fast equations.  The seed is an integer in [0, 2^64);
+    one outside that range is refused, not reduced modulo 2^64.
     """
 
     __slots__ = ("seed", "index", "role", "n_modes", "_gen", "draws")
