@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ErgodicityError
 from .model import ModelConfig
-from .noise import NoiseStream, derive_substream
+from .noise import NoiseStream, _checked_seed, derive_substream
 from .simulate import _drift_coeffs, _finite, _frozen_fast, _whole_steps
 from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
 
@@ -220,7 +220,7 @@ class BbarOracle:
         _require_gap(config)
         self.config = config
         self.params = params
-        self.seed = int(seed)
+        self.seed = _checked_seed(seed)
         self._states: np.ndarray | None = None
         self._calls = 0
         self._rows_estimated = 0

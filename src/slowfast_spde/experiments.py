@@ -14,13 +14,19 @@ to a reproducible measurement with error bars and a CI-aware verdict:
 * :func:`correlation_decay` -- stationary autocovariance of the drift
   observable B(x, Y_t) against the lag.
 * :func:`moment_sweep` -- uniform-in-eps boundedness of second moments.
+* :func:`ergodic_consistency` -- independence of the averaged drift
+  estimate from the initial fast state, and the mixing rate.
+* :func:`averaged_drift_holder` -- empirical Hoelder quotient of the
+  averaged drift, stable under doubling the pair count.
 
 Conventions: all randomness derives from one root seed, so a report is
 bit-reproducible from (config, seed); every estimate carries a standard
-error; rate verdicts compare the fitted log-log slope against 0.8x the
-theoretical exponent (the proved exponents are upper-bound
-constructions, not claimed sharp); a curve that is non-monotone beyond
-its confidence band yields "inconclusive", never a silent pass.
+error, so an experiment refuses fewer than two Monte-Carlo paths (or
+pairs) before it simulates anything; rate verdicts compare the fitted
+log-log slope against 0.8x the theoretical exponent (the proved
+exponents are upper-bound constructions, not claimed sharp); a curve
+that is non-monotone beyond its confidence band yields "inconclusive",
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from .averaging import (AveragingParams, BbarOracle, _fit_log_decay, _line_fit,
                         derive_substream, estimate_bbar_batch, mixing_diagnostic)
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, _low_mode_fields
 from .simulate import (StepScheme, _drift_coeffs, _frozen_fast, _whole_steps,
                        simulate_auxiliary_fast, simulate_averaged,
                        simulate_slow_fast)
@@ -128,6 +134,12 @@ def rate_fit(scales, estimates, stderrs=None) -> RateFit:
                    n_used=int(x.size), n_dropped=dropped)
 
 
+def _no_fit(n_used: int, n_dropped: int) -> RateFit:
+    """The fit of a curve with no slope to fit: NaN slope, infinite CI."""
+    return RateFit(slope=math.nan, intercept=math.nan, ci=math.inf,
+                   n_used=n_used, n_dropped=n_dropped)
+
+
 @dataclass
 class ExperimentReport:
     """Structured outcome of one verification experiment."""
@@ -186,6 +198,19 @@ def _mean_stderr(per_path: np.ndarray) -> tuple[float, float]:
             float(np.std(per_path, ddof=1) / math.sqrt(per_path.shape[0])))
 
 
+def _curve(per_path) -> tuple[list[float], list[float]]:
+    """Means and standard errors of a sequence of per-path arrays."""
+    points = [_mean_stderr(p) for p in per_path]
+    return [m for m, _ in points], [se for _, se in points]
+
+
+def _require_paths(count: int, name: str = "n_mc") -> None:
+    """A standard error needs at least two Monte-Carlo paths."""
+    if count < 2:
+        raise ConfigError(f"{name} must be at least 2 for a standard error, "
+                          f"got {count}")
+
+
 def _coupled_steps(step_a, step_b, ya: np.ndarray, yb: np.ndarray, stream,
                    n_steps: int):
     """Synchronous coupling: steps ``ya`` by ``step_a`` and ``yb`` by
@@ -220,6 +245,7 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
     (default: t_burn 10, t_avg 20, dt 0.05, 2 replicas), which the report
     records as ``extra["oracle_params"]`` (None for a caller's oracle).
     """
+    _require_paths(n_mc)
     eps_grid = sorted(float(e) for e in eps_grid)  # ascending
     n = config.n_modes
     if oracle is None:
@@ -244,7 +270,7 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
         xs, _ = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1_eps, w2)
         per_eps_paths.append(np.max(_norms(xs.states - xbar.states), axis=0))
 
-    ests, ses = map(list, zip(*map(_mean_stderr, per_eps_paths)))
+    ests, ses = _curve(per_eps_paths)
 
     # paired differences check monotone decrease as eps decreases
     monotone = True
@@ -259,13 +285,11 @@ def strong_error(config: ModelConfig, eps_grid, t_final: float, scheme: StepSche
 
     if max(ests) < 1e-12:
         # decoupled null model: the coupled paths coincide
-        fit = RateFit(slope=math.nan, intercept=math.nan, ci=math.inf,
-                      n_used=0, n_dropped=len(ests))
+        fit = _no_fit(0, len(ests))
         verdict = "pass"
     elif len(eps_grid) < 3:
         # too few scales for a slope CI: report the curve only
-        fit = RateFit(slope=math.nan, intercept=math.nan, ci=math.inf,
-                      n_used=len(ests), n_dropped=0)
+        fit = _no_fit(len(ests), 0)
         verdict = "inconclusive"
     else:
         fit = rate_fit(eps_grid, ests, ses)
@@ -299,6 +323,7 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
     step for a nonzero estimate.  Verdict: fitted slope >= 0.8 * theta,
     CI-aware.
     """
+    _require_paths(n_mc)
     n = config.n_modes
     dt = scheme.dt_macro
     blocks = [_whole_steps(d, dt, "delta") for d in delta_grid]
@@ -310,15 +335,12 @@ def increment_scaling(config: ModelConfig, eps: float, delta_grid, t_final: floa
     w1 = derive_substream(seed, 0, "W1", n)
     w2 = derive_substream(seed, 0, "W2", n)
     xs, _ = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1, w2)
-    s = len(xs) - 1
-    idx = np.arange(s + 1)
-    ests, ses = [], []
-    for block in blocks:
-        frozen = xs.states[(idx // block) * block]
-        integ = dt * np.sum(_norms(xs.states - frozen) ** 2, axis=0)  # (n_mc,)
-        est, se = _mean_stderr(integ)
-        ests.append(est)
-        ses.append(se)
+    idx = np.arange(len(xs))
+    # per path: dt * sum_t |X_t - X_{t(delta)}|^2, the state frozen per block
+    ests, ses = _curve(
+        dt * np.sum(_norms(xs.states - xs.states[(idx // block) * block]) ** 2,
+                    axis=0)
+        for block in blocks)
     fit = rate_fit(list(delta_grid), ests, ses)
     target = 0.8 * theta
     return ExperimentReport(
@@ -344,6 +366,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     leave a plateau bounded by C |dx|^{2 gamma}; the fitted C must be
     stable across offset scales.
     """
+    _require_paths(n_mc)
     n = config.n_modes
     gap = config.spectral_gap
     rng = np.random.default_rng(seed)
@@ -368,22 +391,17 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
         if i in check_steps:
             ratios[i] = _norms(ya - yb) ** 2 / d0
 
-    ests, ses, worst = [], [], []
-    violations = 0
-    for t, i in zip(t_checks, check_steps):
-        r = ratios[i]
-        bound = math.exp(-gap * t) * (1.0 + tol)
-        violations += int(np.sum(r > bound))
-        est, se = _mean_stderr(r)
-        ests.append(est)
-        ses.append(se)
-        worst.append(float(np.max(r)))
+    per_check = [ratios[i] for i in check_steps]
+    bounds = [math.exp(-gap * t) * (1.0 + tol) for t in t_checks]
+    violations = sum(int(np.sum(r > b)) for r, b in zip(per_check, bounds))
+    ests, ses = _curve(per_check)
+    worst = [float(np.max(r)) for r in per_check]
 
     # fitted decay rate of the mean squared distance (semilog in t)
     rate = -_line_fit(t_checks, np.log(np.maximum(ests, 1e-300)))[0]
 
     extra = {"tol": tol, "violations": violations, "worst_ratio": worst,
-             "bound": [math.exp(-gap * t) * (1.0 + tol) for t in t_checks]}
+             "bound": bounds}
 
     if x_offset_scales is not None:
         plateau_c = []
@@ -426,6 +444,7 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
     difference isolates the freezing of the slow argument.  Verdict:
     fitted slope >= 0.8 * theta * gamma, CI-aware.
     """
+    _require_paths(n_mc)
     n = config.n_modes
     dt = scheme.dt_macro
     x0 = np.zeros((n_mc, n))
@@ -433,19 +452,17 @@ def aux_fast_error(config: ModelConfig, eps: float, delta_grid, t_final: float,
     w1 = derive_substream(seed, 0, "W1", n)
     w2 = derive_substream(seed, 0, "W2", n)
     xs, ys = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1, w2)
-    ests, ses = [], []
-    for d in delta_grid:
-        yhat = simulate_auxiliary_fast(config, eps, xs, float(d), y0, scheme,
+
+    def freeze_error(delta):  # per path: dt * sum_t |Y_t - Yhat_t|^2
+        yhat = simulate_auxiliary_fast(config, eps, xs, delta, y0, scheme,
                                        w2.replay())
-        integ = dt * np.sum(_norms(ys.states - yhat.states) ** 2, axis=0)
-        est, se = _mean_stderr(integ)
-        ests.append(est)
-        ses.append(se)
+        return dt * np.sum(_norms(ys.states - yhat.states) ** 2, axis=0)
+
+    ests, ses = _curve(freeze_error(float(d)) for d in delta_grid)
     target = 0.8 * theta * config.gamma
     if max(ests) < 1e-12:
         # drift independent of the slow argument: freezing changes nothing
-        fit = RateFit(slope=math.nan, intercept=math.nan, ci=math.inf,
-                      n_used=0, n_dropped=len(ests))
+        fit = _no_fit(0, len(ests))
         verdict = "pass"
     else:
         fit = rate_fit(list(delta_grid), ests, ses)
@@ -471,6 +488,7 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     CI; lags where the signal drops below twice its standard error are
     excluded from the fit.
     """
+    _require_paths(n_mc)
     n = config.n_modes
     dt, stride = 0.02, 5
     dt_s = dt * stride
@@ -492,13 +510,11 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
 
     n_lags = min(n_keep - 8, int(round(lag_max / dt_s)))
     fluct = samples - samples.mean(axis=(0, 1))
-    lags, ests, ses = [], [], []
-    for li in range(n_lags + 1):
-        prod = np.sum(fluct[li:] * fluct[: n_keep - li], axis=-1)  # (T-l, n_mc)
-        est, se = _mean_stderr(prod.mean(axis=0))  # per replica
-        lags.append(li * dt_s)
-        ests.append(est)
-        ses.append(se)
+    lags = [li * dt_s for li in range(n_lags + 1)]
+    # per replica: the time average of <b_{t+lag} - bbar, b_t - bbar>
+    ests, ses = _curve(
+        np.sum(fluct[li:] * fluct[: n_keep - li], axis=-1).mean(axis=0)
+        for li in range(n_lags + 1))
 
     # the fit window ends where the signal drops below 2 ses = 4 * (ses / 2)
     fitted, ci, cut = _fit_log_decay(np.asarray(lags), np.asarray(ests),
@@ -529,6 +545,7 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
     speed, so moderate eps-dependence is real); its spread is
     reported, not gated.
     """
+    _require_paths(n_mc)
     n = config.n_modes
     eps_grid = [float(e) for e in eps_grid]
     spread_tol = 0.20
@@ -539,21 +556,18 @@ def moment_sweep(config: ModelConfig, eps_grid, t_final: float,
     def block_sup(states):
         sq = _norms(states) ** 2  # (n_times, n_mc)
         edges = np.linspace(0, sq.shape[0], 9).astype(int)  # 8 windows
-        windows = [_mean_stderr(sq[a:b].mean(axis=0))
-                   for a, b in zip(edges[:-1], edges[1:])]
-        return windows[int(np.argmax([m for m, _ in windows]))]
+        means, ses = _curve(sq[a:b].mean(axis=0)
+                            for a, b in zip(edges[:-1], edges[1:]))
+        top = int(np.argmax(means))
+        return means[top], ses[top]
 
-    sup_x, sup_y, se_x, se_y = [], [], [], []
+    sups = []  # per eps: sup_x, its stderr, sup_y, its stderr
     for i, eps in enumerate(eps_grid):
         w1 = derive_substream(seed, i, "W1", n)
         w2 = derive_substream(seed, i, "W2", n)
         xs, ys = simulate_slow_fast(config, eps, x0, y0, t_final, scheme, w1, w2)
-        mx, ex = block_sup(xs.states)
-        my, ey = block_sup(ys.states)
-        sup_x.append(mx)
-        sup_y.append(my)
-        se_x.append(ex)
-        se_y.append(ey)
+        sups.append(block_sup(xs.states) + block_sup(ys.states))
+    sup_x, se_x, sup_y, se_y = map(list, zip(*sups))
 
     def spread(v):
         return (max(v) - min(v)) / max(np.mean(v), 1e-300)
@@ -624,17 +638,12 @@ def averaged_drift_holder(config: ModelConfig, n_pairs: int,
     with m = ``config.rough_index``.  The max must be stable under
     doubling the pair count (relative change below 0.25).
     """
-    n = config.n_modes
+    _require_paths(n_pairs, "n_pairs")
     m = config.rough_index
     stability_tol = 0.25
     rng = np.random.default_rng(seed)
     total = 2 * n_pairs
-    act = min(8, n)
-    k = np.arange(1, act + 1, dtype=float)
-    base = np.zeros((total, n))
-    base[:, :act] = rng.standard_normal((total, act)) / k
-    direction = np.zeros((total, n))
-    direction[:, :act] = rng.standard_normal((total, act)) / k
+    base, direction = _low_mode_fields(rng, (2, total), config.n_modes)
     direction /= _norms(direction)[:, None]
     scales = np.exp(rng.uniform(math.log(0.75), math.log(1.25), size=(total, 1)))
     other = base + scales * direction

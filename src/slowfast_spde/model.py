@@ -53,7 +53,7 @@ finite exactly when the exponent c < 1 that decides A5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,7 +73,6 @@ __all__ = [
     "sqrt_abs",
     "check_assumptions",
     "empirical_holder",
-    "low_mode_pair_sampler",
 ]
 
 DriftFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -259,14 +258,6 @@ class AssumptionCheck:
     witness: dict
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class AssumptionReport:
@@ -277,12 +268,17 @@ class AssumptionReport:
     def __getitem__(self, name: str) -> AssumptionCheck:
         return self.checks[name]
 
+    def add(self, name: str, holds: bool, witness: dict, detail: str) -> None:
+        """Record ``name`` as "holds" or "fails" by ``holds``."""
+        self.checks[name] = AssumptionCheck(name, "holds" if holds else "fails",
+                                            witness, detail)
+
     @property
     def all_hold(self) -> bool:
         return all(c.status == "holds" for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {name: c.to_dict() for name, c in sorted(self.checks.items())}
+        return {name: asdict(c) for name, c in sorted(self.checks.items())}
 
     def summary(self) -> str:
         lines = []
@@ -375,15 +371,14 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     # A1: boundedness/Hoelder continuity of the drifts (declared constants,
     # spot-checked empirically on random low-mode pairs); a non-finite
     # quotient or a sampled value above the declared bound refutes it.
-    sampler = low_mode_pair_sampler(config.n_modes)
     qb, sup_b = _holder_and_sup(config.drift_b, config.alpha, config.beta,
-                                holder_pairs, sampler, config.m_points, seed)
+                                holder_pairs, config.n_modes, config.m_points, seed)
     qf, sup_f = _holder_and_sup(config.drift_f, config.gamma, 1.0, holder_pairs,
-                                sampler, config.m_points, seed + 1)
-    a1_holds = (math.isfinite(qb) and math.isfinite(qf)
-                and sup_b <= config.bound_b and sup_f <= config.bound_f)
-    report.checks["A1_drift_regularity"] = AssumptionCheck(
-        "A1_drift_regularity", "holds" if a1_holds else "fails",
+                                config.n_modes, config.m_points, seed + 1)
+    report.add(
+        "A1_drift_regularity",
+        math.isfinite(qb) and math.isfinite(qf)
+        and sup_b <= config.bound_b and sup_f <= config.bound_f,
         {"b_max_quotient": qb, "f_max_quotient": qf,
          "b_sampled_sup": sup_b, "f_sampled_sup": sup_f,
          "bound_b": config.bound_b, "bound_f": config.bound_f,
@@ -396,8 +391,8 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     # A2: positive, nondecreasing (OperatorSpectrum enforces both) and
     # unbounded, which the declared law lambda_k = a_lam k^p_lam is when p_lam > 0.
     eig = config.eigs.eigenvalues
-    report.checks["A2_diagonal_operator"] = AssumptionCheck(
-        "A2_diagonal_operator", "holds" if p_lam > 0 else "fails",
+    report.add(
+        "A2_diagonal_operator", p_lam > 0,
         {"lambda_1": float(eig[0]), "lambda_N": float(eig[-1]),
          "growth_exponent": p_lam},
         "requires lambda_k increasing to infinity",
@@ -409,17 +404,16 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
         """coef * sum_k k^-s: "holds" with the partial sum to K and its
         tail bound if s > 1, else "fails" with the partial sums to K and 2K."""
         partial = coef * float(np.sum(k ** -s))
-        if s <= 1.0:
+        if s > 1.0:
+            tail = _power_series_tail(coef, s, k_trunc)
+            witness.update(partial_sum=partial, tail_bound=tail, total=partial + tail)
+        else:
             k2 = np.arange(1, 2 * k_trunc + 1, dtype=float)
-            status, detail = "fails", detail + " diverges (index exponent <= 1)"
+            detail += " diverges (index exponent <= 1)"
             witness.update(partial_sum_K=partial,
                            partial_sum_2K=coef * float(np.sum(k2 ** -s)))
-        else:
-            tail = _power_series_tail(coef, s, k_trunc)
-            status = "holds"
-            witness.update(partial_sum=partial, tail_bound=tail, total=partial + tail)
         witness.update(series_k_exponent=s, K=k_trunc)
-        report.checks[name] = AssumptionCheck(name, status, witness, detail)
+        report.add(name, s > 1.0, witness, detail)
 
     # A3: sum lambda_k^{zeta-1} < infinity for some zeta in (0, 1), which
     # needs p_lam > 1; zeta is taken mid-interval.
@@ -476,10 +470,10 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
             cg, ig = _lambda_norm_integral(a_lam, p_lam, pq1, 1.0, extra=kappa2)
         else:
             cg, ig = math.inf, math.inf
-        ok = (kappa1 >= required_k1 and math.isfinite(i1) and math.isfinite(i2)
-              and math.isfinite(ig))
-        report.checks["A5_gradient_integrability"] = AssumptionCheck(
-            "A5_gradient_integrability", "holds" if ok else "fails",
+        report.add(
+            "A5_gradient_integrability",
+            kappa1 >= required_k1 and math.isfinite(i1) and math.isfinite(i2)
+            and math.isfinite(ig),
             {"kappa1": kappa1, "kappa1_required": required_k1,
              "integral_q1": i1, "integral_q2": i2,
              "singularity_exponents": (c1, c2_),
@@ -491,8 +485,8 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
 
     # A6: strong dissipativity.
     gap = config.spectral_gap
-    report.checks["A6_spectral_gap"] = AssumptionCheck(
-        "A6_spectral_gap", "holds" if gap > 0 else "fails",
+    report.add(
+        "A6_spectral_gap", gap > 0,
         {"lambda_1": config.eigs.lambda_1, "l_f": config.l_f, "gap": gap},
         "lambda_1 - L_F > 0",
     )
@@ -504,33 +498,17 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
 # ----------------------------------------------------------------------
 
 
-def low_mode_pair_sampler(n_modes: int):
-    """Random low-mode field pairs at mixed perturbation scales.
-
-    Returns a callable (rng, n) -> (x1, y1, x2, y2) of coefficient
-    arrays shaped (n, n_modes), nonzero in the first 8 modes, with the
-    second pair member a perturbation of the first at a scale drawn
-    from 0.03, 0.1, 0.3 and 1.
-    """
+def _low_mode_fields(rng: np.random.Generator, shape: tuple,
+                     n_modes: int) -> np.ndarray:
+    """Coefficient arrays of ``shape + (n_modes,)`` with independent
+    N(0, 1/k^2) entries in the first min(8, n_modes) modes k and zeros
+    above, drawn in C order (so one call of shape (2, n) draws what two
+    calls of shape (n,) would)."""
     act = min(8, n_modes)
-    scales = np.array([0.03, 0.1, 0.3, 1.0])
+    c = np.zeros(shape + (n_modes,))
     k = np.arange(1, act + 1, dtype=float)
-
-    def sample(rng: np.random.Generator, n: int):
-        def fields():
-            c = np.zeros((n, n_modes))
-            c[:, :act] = rng.standard_normal((n, act)) / k
-            return c
-
-        x1, y1 = fields(), fields()
-        s = scales[rng.integers(0, len(scales), size=(n, 1))]
-        dx = np.zeros((n, n_modes))
-        dy = np.zeros((n, n_modes))
-        dx[:, :act] = rng.standard_normal((n, act)) / k
-        dy[:, :act] = rng.standard_normal((n, act)) / k
-        return x1, y1, x1 + s * dx, y1 + s * dy
-
-    return sample
+    c[..., :act] = rng.standard_normal(shape + (act,)) / k
+    return c
 
 
 def _on_grid(f: DriftFn, x_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
@@ -540,13 +518,16 @@ def _on_grid(f: DriftFn, x_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
 
 
 def _holder_and_sup(f: DriftFn, alpha: float, beta: float, n_pairs: int,
-                    sampler, m_points: int, seed: int) -> tuple[float, float]:
+                    n_modes: int, m_points: int, seed: int) -> tuple[float, float]:
     """:func:`empirical_holder`'s quotient and the max |f| on the grid over
     the same fields, from one evaluation of f per field (NaN on a NaN)."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    x1, y1, x2, y2 = sampler(rng, n_pairs)
+    x1, y1 = _low_mode_fields(rng, (2, n_pairs), n_modes)
+    s = np.array([0.03, 0.1, 0.3, 1.0])[rng.integers(0, 4, size=(n_pairs, 1))]
+    dx, dy = _low_mode_fields(rng, (2, n_pairs), n_modes)
+    x2, y2 = x1 + s * dx, y1 + s * dy
 
     def g(c):
         return coeffs_to_grid_values(c, m_points)
@@ -562,12 +543,15 @@ def _holder_and_sup(f: DriftFn, alpha: float, beta: float, n_pairs: int,
 
 
 def empirical_holder(f: DriftFn, alpha: float, beta: float, n_pairs: int,
-                     sampler, m_points: int, seed: int = 0) -> float:
+                     n_modes: int, m_points: int, seed: int = 0) -> float:
     """Max quotient |f(x1,y1)-f(x2,y2)| / (|x1-x2|^alpha + |y1-y2|^beta).
 
+    The pairs are random fields of ``n_modes`` coefficients, nonzero in
+    the first 8 (see :func:`_low_mode_fields`); a pair's second member
+    perturbs the first at a scale drawn from 0.03, 0.1, 0.3 and 1.
     Norms of f-differences use the grid quadrature (the honest L^2
     estimate for non-band-limited outputs); input norms are spectral.
     A finite maximum that is stable as ``n_pairs`` grows is evidence,
     not proof, of the declared regularity.
     """
-    return _holder_and_sup(f, alpha, beta, n_pairs, sampler, m_points, seed)[0]
+    return _holder_and_sup(f, alpha, beta, n_pairs, n_modes, m_points, seed)[0]

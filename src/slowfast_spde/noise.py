@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import OperatorSpectrum
+from .spectral import OperatorSpectrum, _check_finite
 
 __all__ = [
     "NoiseSpectrum",
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
-    """Per-mode noise intensities q_k >= 0.
+    """Per-mode noise intensities q_k >= 0, each finite.
 
     ``decay_exponent`` declares r for the power law q_k = k^{-2r} of the
     built-in heat model; the assumption checker sums its series with it
@@ -59,6 +59,7 @@ class NoiseSpectrum:
             raise ValueError("q must be one-dimensional")
         if np.any(q < 0.0):
             raise ValueError("noise intensities must be nonnegative")
+        _check_finite(q, "q")
         if self.decay_exponent is not None and not math.isfinite(self.decay_exponent):
             raise ValueError(
                 f"decay_exponent must be finite, got {self.decay_exponent}")
@@ -76,6 +77,15 @@ def power_law_spectrum(n_modes: int, r: float) -> NoiseSpectrum:
     return NoiseSpectrum(k ** (-2.0 * r), decay_exponent=r)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int, if it is a Python or numpy integer in [0, 2^64);
+    anything else (a float, a bool, a string) raises ValueError."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def _role_code(role: str) -> int:
     return zlib.crc32(role.encode("utf-8"))
 
@@ -86,8 +96,9 @@ class NoiseStream:
     Identical (seed, index, role) and draw order give bit-identical
     output.  Distinct (index, role) pairs yield statistically
     independent streams; the role tag separates the driving noises of
-    the slow and fast equations.  The seed is an integer in [0, 2^64);
-    one outside that range is refused, not reduced modulo 2^64.
+    the slow and fast equations.  The seed is a Python or numpy integer
+    in [0, 2^64); any other value is refused, not truncated or reduced
+    modulo 2^64.
     """
 
     __slots__ = ("seed", "index", "role", "n_modes", "_gen", "draws")
@@ -95,9 +106,7 @@ class NoiseStream:
     def __init__(self, seed: int, n_modes: int, index: int = 0, role: str = "W1"):
         if n_modes < 1:
             raise ValueError("n_modes must be positive")
-        self.seed = int(seed)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+        self.seed = _checked_seed(seed)
         self.index = int(index)
         self.role = str(role)
         self.n_modes = int(n_modes)

@@ -70,6 +70,14 @@ __all__ = [
 PI = np.pi
 
 
+def _check_finite(a: np.ndarray, name: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` and the first mode (1-indexed) of
+    the one-dimensional ``a`` whose entry is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise error(f"{name} must be finite, got {a[bad[0]]} at mode {bad[0] + 1}")
+
+
 def _frozen_array(x, name: str) -> np.ndarray:
     a = np.array(x, dtype=float)
     if a.ndim < 1 or a.shape[-1] < 1:
@@ -131,7 +139,7 @@ class OperatorSpectrum:
     law lambda_k = c k^p that the assumption checker sums its series
     with; for the built-in heat model it is exact (p = 2, c = 1).  The
     checker refuses a spectrum that declares none; a declared p must be
-    finite and c finite and positive.
+    finite and c finite and positive.  Every eigenvalue must be finite.
     """
 
     eigenvalues: np.ndarray
@@ -146,6 +154,7 @@ class OperatorSpectrum:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) < 0.0):
             raise ValueError("eigenvalues must be nondecreasing")
+        _check_finite(eig, "eigenvalues")
         if self.growth_exponent is not None and not math.isfinite(self.growth_exponent):
             raise ValueError(
                 f"growth_exponent must be finite, got {self.growth_exponent}")

@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError, PicardDivergenceError
 from .noise import _ou_law
+from .spectral import _check_finite
 
 __all__ = [
     "OuKernel",
@@ -84,18 +85,21 @@ _T_MIN = 1e-8
 
 @dataclass(frozen=True)
 class OuKernel:
-    """Diagonal OU transition parameters on d retained modes."""
+    """Diagonal OU transition parameters on d retained modes: finite
+    lambda > 0 and q >= 0, held as read-only copies of the inputs."""
 
     eigenvalues: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
+        lam = np.array(self.eigenvalues, dtype=float, ndmin=1)
+        q = np.array(self.q, dtype=float, ndmin=1)
         if lam.shape != q.shape or lam.ndim != 1:
             raise ConfigError("eigenvalues and q must be 1-d arrays of equal length")
         if np.any(lam <= 0) or np.any(q < 0):
             raise ConfigError("need lambda > 0 and q >= 0")
+        _check_finite(lam, "eigenvalues", ConfigError)
+        _check_finite(q, "q", ConfigError)
         lam.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
@@ -163,9 +167,18 @@ class TruncatedFunction:
         return out
 
     def sup_norm(self) -> float:
-        """Max over grid nodes of the euclidean norm over output axes."""
+        """Max over grid nodes of the euclidean norm over output axes.
+
+        A node whose largest entry lies outside [2^-481, 2^480), where
+        the squares could underflow or overflow, is scaled by a power of
+        two, exactly, before its norm is taken and back after; every
+        other node's norm is numpy's, unscaled."""
         flat = self.values.reshape(self.grid_shape + (-1,))
-        return float(np.max(np.linalg.norm(flat, axis=-1)))
+        _, e = np.frexp(np.max(np.abs(flat), axis=-1))
+        e = np.where(np.abs(e) > 480, e, 0)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            norms = np.ldexp(np.linalg.norm(np.ldexp(flat, -e[..., None]), axis=-1), e)
+        return float(np.max(norms))
 
     @classmethod
     def from_callable(cls, fn, axes) -> "TruncatedFunction":

@@ -290,6 +290,14 @@ class TestOracle:
         diff = np.linalg.norm(warm - cold, axis=1)
         assert np.all(diff <= 2.0 * np.hypot(stderr, cold_stderr))
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "1", -1, 2**64])
+    def test_seed_must_be_a_64_bit_integer(self, heat, params, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BbarOracle(heat, params, seed=seed)
+
+    def test_numpy_integer_seed_is_the_python_seed(self, heat, params):
+        assert BbarOracle(heat, params, seed=np.int64(3)).seed == 3
+
     def test_batched_call_shape(self, heat, params, rng):
         oracle = BbarOracle(heat, params, seed=15)
         xb = rng.standard_normal((5, 8)) * 0.2

@@ -392,3 +392,39 @@ def test_non_finite_drift_raises_located_error(heat8, run, drift):
     xi = grid_points(heat8.m_points)[3]
     with pytest.raises(IntegrationError, match=f"xi={xi:.6f}"):
         run(replace(heat8, **{drift: bad}))
+
+
+_PARAMS = AveragingParams(t_burn=0.1, t_avg=0.1, dt=0.05, n_replicas=2)
+_SCHEME = StepScheme(0.01)
+
+
+@pytest.mark.parametrize("n,run", [
+    ("n_mc", lambda cfg, n: strong_error(cfg, (0.1, 0.05, 0.01), 0.02, _SCHEME,
+                                         n, seed=1)),
+    ("n_mc", lambda cfg, n: increment_scaling(cfg, 0.1, (0.02, 0.04), 0.08,
+                                              _SCHEME, n, seed=1)),
+    ("n_mc", lambda cfg, n: contraction_test(cfg, (0.1, 0.2), 0.02, n, seed=1)),
+    ("n_mc", lambda cfg, n: aux_fast_error(cfg, 0.1, (0.02, 0.04), 0.08,
+                                           _SCHEME, n, seed=1)),
+    ("n_mc", lambda cfg, n: correlation_decay(cfg, np.zeros(8), lag_max=0.5,
+                                              n_mc=n, seed=1, t_burn=0.1,
+                                              window=1.0)),
+    ("n_mc", lambda cfg, n: moment_sweep(cfg, (0.1, 0.01), 0.02, _SCHEME, n,
+                                         seed=1)),
+    ("n_pairs", lambda cfg, n: averaged_drift_holder(cfg, n, _PARAMS, seed=1)),
+], ids=["strong", "increments", "contraction", "aux-fast", "correlation",
+        "moments", "holder"])
+@pytest.mark.parametrize("count", [1, 0])
+def test_fewer_than_two_paths_refused_before_stepping(heat8, monkeypatch, n,
+                                                       run, count):
+    """One path gives NaN standard errors, and with them a "pass" that
+    nothing supports; the count is refused before any path is stepped."""
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a path was stepped")
+
+    for name in ("simulate_slow_fast", "simulate_averaged",
+                 "simulate_auxiliary_fast", "_frozen_fast",
+                 "estimate_bbar_batch"):
+        monkeypatch.setattr(f"slowfast_spde.experiments.{name}", no_stepping)
+    with pytest.raises(ConfigError, match=f"{n} must be at least 2"):
+        run(heat8, count)

@@ -14,7 +14,7 @@ from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig,
                                  _sup_scaled_ou_factor, check_assumptions,
                                  empirical_holder,
                                  heat_drift_b, heat_drift_f, heat_example,
-                                 low_mode_pair_sampler, sqrt_abs)
+                                 sqrt_abs)
 from slowfast_spde.noise import NoiseSpectrum, power_law_spectrum
 from slowfast_spde.simulate import _drift_coeffs, _frozen_fast
 from slowfast_spde.spectral import OperatorSpectrum, grid_points
@@ -186,23 +186,20 @@ class TestHeatDriftForms:
 
 class TestEmpiricalHolder:
     def test_constant_drift_zero_quotient(self, heat8):
-        sampler = low_mode_pair_sampler(8)
         q = empirical_holder(lambda x, y: np.ones_like(x), 0.5, 0.5, 100,
-                             sampler, heat8.m_points, seed=1)
+                             8, heat8.m_points, seed=1)
         assert q == 0.0
 
     def test_identity_in_x_is_lipschitz_one(self, heat8):
-        sampler = low_mode_pair_sampler(8)
         q = empirical_holder(lambda x, y: x, 1.0, 1.0, 500,
-                             sampler, heat8.m_points, seed=2)
+                             8, heat8.m_points, seed=2)
         assert q <= 1.0 + 1e-6
 
     def test_heat_drift_quotient_bounded(self, heat32):
         # |B(x,y)-B(x',y')| <= pi^(1/4) (|dx|^(1/2) + |dy|^(1/2)) in L^2,
         # via Cauchy-Schwarz on the pointwise bound; assert the looser
         # sqrt(pi) + 0.1 margin on 1e4 random low-mode pairs
-        sampler = low_mode_pair_sampler(32)
-        q = empirical_holder(heat_drift_b, 0.5, 0.5, 10_000, sampler,
+        q = empirical_holder(heat_drift_b, 0.5, 0.5, 10_000, 32,
                              heat32.m_points, seed=3)
         assert q <= np.sqrt(np.pi) + 0.1
         assert q > 0.1  # nondegenerate

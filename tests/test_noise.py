@@ -163,6 +163,27 @@ class TestBlockDraw:
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
             nz.NoiseStream(seed, 4)
 
+    @pytest.mark.parametrize("q", [[1.0, np.nan], [1.0, np.inf], [np.nan]],
+                             ids=["nan", "inf", "only-nan"])
+    def test_non_finite_intensity_is_refused(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            nz.NoiseSpectrum(np.array(q))
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, np.float64(3.0), "4", True, None],
+                             ids=["fraction", "whole-float", "numpy-float",
+                                  "string", "bool", "none"])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        # int(1.7) == 1 would give the stream of seed 1
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            nz.NoiseStream(seed, 4)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.uint64(5)])
+    def test_numpy_integer_seed_keys_the_same_stream(self, seed):
+        stream = nz.NoiseStream(seed, 4)
+        assert type(stream.seed) is int and stream.seed == 5
+        assert np.array_equal(stream.standard_normals(),
+                              nz.NoiseStream(5, 4).standard_normals())
+
     def test_largest_64_bit_seed_has_its_own_stream(self):
         top = nz.NoiseStream(2**64 - 1, 4)
         assert top.seed == 2**64 - 1

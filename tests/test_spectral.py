@@ -264,6 +264,18 @@ class TestImmutability:
         with pytest.raises(ValueError, match=field):
             sp.OperatorSpectrum(np.arange(1.0, 9.0) ** 2, **declared)
 
+    @pytest.mark.parametrize("eig,mode", [
+        ([1.0, np.nan, 9.0], 2), ([1.0, np.inf], 2), ([np.nan], 1),
+        (np.r_[np.arange(1.0, 4.0) ** 2, np.nan, np.arange(5.0, 9.0) ** 2], 4),
+    ], ids=["nan", "inf", "only-nan", "heat-4th-nan"])
+    def test_non_finite_eigenvalue_is_refused(self, eig, mode):
+        # NaN passes the sign and order checks, and +inf both: the checker
+        # reported every assumption "holds" on the N = 8 heat spectrum
+        # with a NaN 4th eigenvalue
+        with pytest.raises(ValueError, match=f"eigenvalues must be finite, got "
+                                             f".* at mode {mode}"):
+            sp.OperatorSpectrum(np.array(eig), growth_exponent=2.0)
+
     def test_flat_declared_spectrum_is_valid(self):
         eigs = sp.OperatorSpectrum(np.ones(16), growth_exponent=0.0)
         assert eigs.growth_exponent == 0.0 and eigs.growth_coefficient == 1.0

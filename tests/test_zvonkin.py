@@ -97,6 +97,22 @@ class TestTransitionQuadrature:
         with pytest.raises(ConfigError, match=message):
             OuKernel(np.array(lam), np.array(q))
 
+    @pytest.mark.parametrize("lam,q,field", [
+        ([np.nan], [1.0], "eigenvalues"), ([1.0, np.inf], [1.0, 0.5], "eigenvalues"),
+        ([1.0], [np.nan], "q"), ([1.0, 4.0], [1.0, np.inf], "q"),
+    ], ids=["nan-lambda", "inf-lambda", "nan-q", "inf-q"])
+    def test_kernel_rejects_non_finite_parameters(self, lam, q, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            OuKernel(np.array(lam), np.array(q))
+
+    def test_kernel_copies_the_callers_arrays(self):
+        lam, q = np.array([1.0, 4.0]), np.array([1.0, 0.5])
+        kernel = OuKernel(lam, q)
+        assert lam.flags.writeable and q.flags.writeable
+        lam[0], q[0] = 9.0, 0.0
+        assert kernel.eigenvalues[0] == 1.0 and kernel.q[0] == 1.0
+        assert not kernel.eigenvalues.flags.writeable
+
 
 class TestGradient:
     def test_constant_has_zero_gradient(self, axes):
@@ -207,6 +223,13 @@ class TestPicard:
             sol = picard_solve(g, zero_bbar, 1e308, KERNEL, order=12)
         assert sol.converged
         assert np.allclose(sol.u.values, 1e-308, rtol=1e-12, atol=0.0)
+
+    def test_largest_lambda_reports_its_tiny_solution(self, axes):
+        # sup|U| is 1e-308, whose square underflows to 0
+        g = TruncatedFunction.from_callable(
+            lambda p: np.full((p.shape[0], 1), 1.0), axes)
+        sol = picard_solve(g, zero_bbar, 1e308, KERNEL, order=12)
+        assert sol.table_row()["sup_u"] == pytest.approx(1e-308, rel=1e-12, abs=0.0)
 
     def test_lambda_without_a_finite_horizon_is_refused(self, axes):
         g = TruncatedFunction.from_callable(
@@ -339,6 +362,24 @@ class TestTruncatedFunction:
         f.values = np.ones_like(f.values)
         assert np.array_equal(f(pts), np.ones((2, 1)))
         assert f.sup_norm() == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200, 1e300])
+    def test_sup_norm_past_the_range_of_the_squares(self, axes, scale):
+        # the squares of these entries underflow to 0 or overflow to inf
+        f = TruncatedFunction.from_callable(
+            lambda p: np.stack([3.0 * scale * (p[:, 0] >= 0.0),
+                                4.0 * scale * (p[:, 0] >= 0.0)], axis=-1), axes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.sup_norm() == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-450, 450), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_sup_norm_is_numpys_inside_that_range(self, exponent, width, seed):
+        values = (np.random.default_rng(seed).standard_normal((9, width))
+                  * 10.0 ** (exponent * 0.3))
+        f = TruncatedFunction((np.linspace(-1.0, 1.0, 9),), values)
+        assert f.sup_norm() == float(np.max(np.linalg.norm(values, axis=-1)))
 
     @pytest.mark.parametrize("axis", [[0.0, 2.0, 1.0], [1.0, 0.0], [0.0, 1.0, 1.0],
                                       [0.0, np.nan, 1.0], [0.5], [], [[0.0, 1.0]]],
