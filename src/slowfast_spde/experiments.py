@@ -19,14 +19,16 @@ to a reproducible measurement with error bars and a CI-aware verdict:
 * :func:`averaged_drift_holder` -- empirical Hoelder quotient of the
   averaged drift, stable under doubling the pair count.
 
-Conventions: all randomness derives from one root seed, so a report is
-bit-reproducible from (config, seed); every estimate carries a standard
-error, so an experiment refuses fewer than two Monte-Carlo paths (or
-pairs) before it simulates anything; rate verdicts compare the fitted
-log-log slope against 0.8x the theoretical exponent (the proved
-exponents are upper-bound constructions, not claimed sharp); a curve
-that is non-monotone beyond its confidence band yields "inconclusive",
-never a silent pass.
+Conventions: all randomness derives from one root seed, an integer in
+[0, 2^64) as for :class:`~slowfast_spde.noise.NoiseStream` (any other
+seed raises ValueError), so a report is bit-reproducible from (config,
+seed); every estimate carries a standard error, so an experiment
+refuses fewer than two Monte-Carlo paths (or pairs) before it
+simulates anything; rate verdicts compare the fitted log-log slope
+against 0.8x the theoretical exponent (the proved exponents are
+upper-bound constructions, not claimed sharp); a curve that is
+non-monotone beyond its confidence band yields "inconclusive", never a
+silent pass.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .averaging import (AveragingParams, BbarOracle, _fit_log_decay, _line_fit,
                         derive_substream, estimate_bbar_batch, mixing_diagnostic)
 from .errors import ConfigError
 from .model import ModelConfig, _low_mode_fields
+from .noise import _checked_seed
 from .simulate import (StepScheme, _drift_coeffs, _frozen_fast, _whole_steps,
                        simulate_auxiliary_fast, simulate_averaged,
                        simulate_slow_fast)
@@ -369,7 +372,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
     _require_paths(n_mc)
     n = config.n_modes
     gap = config.spectral_gap
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     x = np.zeros((n_mc, n)) if x_base is None else np.broadcast_to(
         np.asarray(x_base, dtype=float), (n_mc, n)).copy()
     dy = rng.standard_normal((n_mc, n))
@@ -596,7 +599,7 @@ def ergodic_consistency(config: ModelConfig, params: AveragingParams, seed: int,
     """
     n = config.n_modes
     xs = np.zeros((2, n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     y_alt = rng.standard_normal(n)
     y_alt *= 2.0 / np.linalg.norm(y_alt)
     y0 = np.stack([np.zeros(n), y_alt])
@@ -641,7 +644,7 @@ def averaged_drift_holder(config: ModelConfig, n_pairs: int,
     _require_paths(n_pairs, "n_pairs")
     m = config.rough_index
     stability_tol = 0.25
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     total = 2 * n_pairs
     base, direction = _low_mode_fields(rng, (2, total), config.n_modes)
     direction /= _norms(direction)[:, None]

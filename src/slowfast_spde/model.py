@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .noise import NoiseSpectrum, power_law_spectrum
+from .noise import NoiseSpectrum, _checked_seed, power_law_spectrum
 from .spectral import MAX_TRANSFORM_SIZE, PI, OperatorSpectrum, coeffs_to_grid_values
 
 __all__ = [
@@ -347,12 +347,14 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     [0, inf).  Every series is coef * sum_k k^-s, summed with a tail bound;
     a divergent one (s <= 1) is reported as "fails" together with its
     partial sums as the divergence witness.
-    A1 is spot-checked on 200 random field pairs drawn from ``seed``; A5
+    A1 is spot-checked on 200 random field pairs drawn from ``seed``, an
+    integer in [0, 2^64) (F's pairs from seed + 1 mod 2^64); A5
     takes kappa2 at half its admissible maximum, needs every gradient
     integral's exponent c below 1 and stores their closed-form bounds.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    seed = _checked_seed(seed)
     if kappa1 is not None and not math.isfinite(kappa1):
         raise ConfigError(f"kappa1 must be finite, got {kappa1}")
     if config.eigs.growth_exponent is None or None in (config.q1.decay_exponent,
@@ -374,7 +376,8 @@ def check_assumptions(config: ModelConfig, theta: float, kappa1: float | None = 
     qb, sup_b = _holder_and_sup(config.drift_b, config.alpha, config.beta,
                                 holder_pairs, config.n_modes, config.m_points, seed)
     qf, sup_f = _holder_and_sup(config.drift_f, config.gamma, 1.0, holder_pairs,
-                                config.n_modes, config.m_points, seed + 1)
+                                config.n_modes, config.m_points,
+                                (seed + 1) % 2**64)
     report.add(
         "A1_drift_regularity",
         math.isfinite(qb) and math.isfinite(qf)
@@ -523,7 +526,9 @@ def _holder_and_sup(f: DriftFn, alpha: float, beta: float, n_pairs: int,
     the same fields, from one evaluation of f per field (NaN on a NaN)."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
+    if n_modes < 1:
+        raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
+    rng = np.random.default_rng(_checked_seed(seed))
     x1, y1 = _low_mode_fields(rng, (2, n_pairs), n_modes)
     s = np.array([0.03, 0.1, 0.3, 1.0])[rng.integers(0, 4, size=(n_pairs, 1))]
     dx, dy = _low_mode_fields(rng, (2, n_pairs), n_modes)
@@ -552,6 +557,8 @@ def empirical_holder(f: DriftFn, alpha: float, beta: float, n_pairs: int,
     Norms of f-differences use the grid quadrature (the honest L^2
     estimate for non-band-limited outputs); input norms are spectral.
     A finite maximum that is stable as ``n_pairs`` grows is evidence,
-    not proof, of the declared regularity.
+    not proof, of the declared regularity.  ``n_modes`` below 1 raises
+    ConfigError and a seed outside the integers in [0, 2^64) ValueError,
+    before any draw.
     """
     return _holder_and_sup(f, alpha, beta, n_pairs, n_modes, m_points, seed)[0]

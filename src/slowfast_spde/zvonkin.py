@@ -12,8 +12,8 @@ tensor Gauss-Hermite quadrature; gradients DT_t use Gaussian
 integration by parts (per-axis scalar weights in the diagonal case),
 which stays finite for rough integrands.  Functions of the truncated
 state live on tensor grids with multilinear interpolation
-(:func:`_hat`); queries outside the box clamp to the boundary (U and
-DU are bounded, so clamping is consistent).
+(:func:`_hat`, exact at the nodes); queries outside the box clamp to
+the boundary (U and DU are bounded, so clamping is consistent).
 
 The iteration starts from U_0 = 0 and contracts once lambda is large
 enough; the time integral is truncated at T_max = 40 / min(lambda,
@@ -28,16 +28,18 @@ A sweep is linear in psi = G + <Bbar, DU>, and its transition
 operators do not depend on the iterate, so :func:`picard_solve`
 assembles the whole sweep once per solve as dense maps on the G grid
 nodes: A (G x G) for U and B (d x G x G) for DU, with the same
-Gauss-Hermite points, clamped multilinear weights and
-integration-by-parts weights as the per-node applies.  The tensor rule
-factors per axis, so the maps are built from per-axis 1-D matrices
-(Kronecker products per time node for d >= 2); every sweep is then two
-matrix products.  The maps hold (d + 1) * 8 * G^2 bytes, so
-picard_solve refuses grids of more than MAX_PICARD_NODES = 2^11 nodes
-(128 MiB at d = 3) with :class:`ConfigError`: 45 points per axis at
-d = 2 and 12 at d = 3.  :func:`ou_semigroup_apply` and
-:func:`ou_gradient_apply` are single applies and evaluate the
-quadrature point by point.
+Gauss-Hermite points and integration-by-parts weights as the per-node
+applies.  The tensor rule factors per axis, so the maps are built from
+per-axis 1-D matrices (Kronecker products per time node for d >= 2);
+every sweep is then two matrix products.  The 1-D matrices
+(:func:`_axis_matrices`) locate their points in grid-index space with
+one ``np.interp`` rather than through :func:`_hat`, so their clamped
+hat weights equal _hat's up to rounding.  The maps hold
+(d + 1) * 8 * G^2 bytes, so picard_solve refuses grids of more than
+MAX_PICARD_NODES = 2^11 nodes (128 MiB at d = 3) with
+:class:`ConfigError`: 45 points per axis at d = 2 and 12 at d = 3.
+:func:`ou_semigroup_apply` and :func:`ou_gradient_apply` are single
+applies and evaluate the quadrature point by point.
 
 This module exists to verify the construction (fixed point, decay of
 the resolvent norm in lambda, gradient bounds) at desk scale, not for
@@ -339,31 +341,53 @@ def _axis_matrices(axis: np.ndarray, decay: np.ndarray, std: np.ndarray,
 
     For time nodes with per-axis ``decay`` and ``std`` (both (T,)),
     matrix V[t] sends samples f on ``axis`` to
-    sum_q w_q f(x_i decay_t + z_q std_t), with f interpolated by the
-    clamped hat weights of :func:`_hat`, as TruncatedFunction does;
-    D[t] uses the integration-by-parts weights w_q z_q decay_t / std_t
-    instead.  Returns (V, D) stacked as (T, n, n), or, given ``damp``
-    (T,), the sums over t of damp_t V[t] and damp_t D[t] as (n, n).
+    sum_q w_q f(x_i decay_t + z_q std_t), with f interpolated by clamped
+    linear hat weights, as TruncatedFunction does; D[t] uses the
+    integration-by-parts weights w_q z_q decay_t / std_t instead.
+    Returns (V, D) stacked as (T, n, n), or, given ``damp`` (T,), the
+    sums over t of damp_t V[t] and damp_t D[t] as (n, n).
+
+    The quadrature points are laid out as (T, Q, n), so that along the
+    last axis they are the images of neighbouring nodes and sorted, and
+    one ``np.interp`` onto the node indices 0..n-1 locates them all: it
+    clamps to the box, and its search starts from the previous point's
+    cell.  A point at index u lies in cell left = min(floor(u), n - 2)
+    at fraction u - left, with no search, clip or gather of its own.
+    That fraction is the one :func:`_hat` computes in coordinates, but
+    it passes through u, which spends bits on the cell index, so each
+    weight differs from _hat's by at most a few ulps of n - 1 times w_q
+    (times |z_q| decay_t / std_t in D).  Point evaluation keeps _hat, which is
+    exact at the nodes.
     """
     n, n_t = axis.shape[0], decay.shape[0]
-    pts = axis[:, None] * decay[:, None, None] + z * std[:, None, None]  # (T, n, Q)
-    left, frac = _hat(axis, pts)
-    cell = left + np.arange(n)[:, None] * n
+    pts = decay[:, None, None] * axis + (std[:, None] * z)[:, :, None]  # (T, Q, n)
+    hi = np.interp(pts, axis, np.arange(n, dtype=float))  # the index u
+    cell = np.minimum(hi.astype(np.intp), n - 2)
+    hi -= cell  # the fraction
+    lo = 1.0 - hi
+    cell += np.arange(0, n * n, n)  # row i of the node's own image
     if damp is None:
-        cell += np.arange(n_t)[:, None, None] * (n * n)
-        wq, out = w, (n_t, n, n)
+        cell += np.arange(0, n_t * n * n, n * n)[:, None, None]
+        wq, out = w[:, None], (n_t, n, n)
     else:
-        wq, out = damp[:, None, None] * w, (n, n)
-    lo, hi = (wq * (1.0 - frac)).ravel(), (wq * frac).ravel()
-    zr = np.broadcast_to(z * (decay / std)[:, None, None], pts.shape).ravel()
+        wq, out = (damp[:, None] * w)[:, :, None], (n, n)
+    lo *= wq
+    hi *= wq
     cell = cell.ravel()
     size = math.prod(out)
 
-    def scatter(w_lo, w_hi):
-        return (np.bincount(cell, w_lo, minlength=size)
-                + np.bincount(cell + 1, w_hi, minlength=size)).reshape(out)
+    def scatter():
+        # hi goes to column left + 1: the bins of cell, shifted by one
+        # (a cell is at most size - 2, so the last bin is empty)
+        m = np.bincount(cell, lo.ravel(), minlength=size)
+        m[1:] += np.bincount(cell, hi.ravel(), minlength=size)[:-1]
+        return m.reshape(out)
 
-    return scatter(lo, hi), scatter(lo * zr, hi * zr)
+    value = scatter()
+    zr = (z * (decay / std)[:, None])[:, :, None]
+    lo *= zr
+    hi *= zr
+    return value, scatter()
 
 
 def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,

@@ -428,3 +428,21 @@ def test_fewer_than_two_paths_refused_before_stepping(heat8, monkeypatch, n,
         monkeypatch.setattr(f"slowfast_spde.experiments.{name}", no_stepping)
     with pytest.raises(ConfigError, match=f"{n} must be at least 2"):
         run(heat8, count)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg, seed: contraction_test(cfg, (0.1, 0.2), 0.02, 4, seed=seed),
+    lambda cfg, seed: averaged_drift_holder(cfg, 2, _PARAMS, seed=seed),
+    lambda cfg, seed: ergodic_consistency(cfg, _PARAMS, seed=seed),
+], ids=["contraction", "holder", "ergodicity"])
+@pytest.mark.parametrize("seed", [True, 1.7, -1, 2**64])
+def test_seed_must_be_a_64_bit_integer(heat8, monkeypatch, run, seed):
+    """numpy's own generator would run True as seed 1 and accept 2^64; the
+    experiments take the seeds NoiseStream takes, before any path is stepped."""
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a path was stepped")
+
+    for name in ("_frozen_fast", "estimate_bbar_batch", "mixing_diagnostic"):
+        monkeypatch.setattr(f"slowfast_spde.experiments.{name}", no_stepping)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        run(heat8, seed)

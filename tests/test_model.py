@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slowfast_spde.errors import ConfigError, IntegrationError
 from slowfast_spde.model import (_TAN_MIN_VALUES, ModelConfig,
-                                 _lambda_norm_integral,
+                                 _holder_and_sup, _lambda_norm_integral,
                                  _sup_scaled_ou_factor, check_assumptions,
                                  empirical_holder,
                                  heat_drift_b, heat_drift_f, heat_example,
@@ -203,6 +203,43 @@ class TestEmpiricalHolder:
                              heat32.m_points, seed=3)
         assert q <= np.sqrt(np.pi) + 0.1
         assert q > 0.1  # nondegenerate
+
+    @pytest.mark.parametrize("fn", [empirical_holder, _holder_and_sup])
+    @pytest.mark.parametrize("n_modes", [0, -2])
+    def test_fewer_than_one_mode_is_refused_before_any_draw(self, monkeypatch,
+                                                            fn, n_modes):
+        def no_draw(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr("slowfast_spde.model._low_mode_fields", no_draw)
+        with pytest.raises(ConfigError, match="n_modes must be >= 1, got"):
+            fn(heat_drift_b, 0.5, 0.5, 10, n_modes, 16, 0)
+
+    @pytest.mark.parametrize("seed", [True, 1.7, -1, 2**64])
+    def test_seed_must_be_a_64_bit_integer(self, heat8, monkeypatch, seed):
+        # numpy's own generator would take True as 1 and 2^64 as it is
+        def no_draw(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr("slowfast_spde.model._low_mode_fields", no_draw)
+        match = r"seed must be an integer in \[0, 2\^64\)"
+        with pytest.raises(ValueError, match=match):
+            empirical_holder(heat_drift_b, 0.5, 0.5, 10, 8, heat8.m_points, seed)
+        with pytest.raises(ValueError, match=match):
+            check_assumptions(heat8, theta=0.55, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_python_seeds_fields(self, heat8):
+        q = empirical_holder(heat_drift_b, 0.5, 0.5, 50, 8, heat8.m_points, 5)
+        assert empirical_holder(heat_drift_b, 0.5, 0.5, 50, 8, heat8.m_points,
+                                np.uint64(5)) == q
+
+    def test_largest_seed_checks_f_on_the_fields_of_seed_zero(self, heat8):
+        # F's pairs are drawn from seed + 1, which wraps at 2^64
+        a1 = check_assumptions(heat8, theta=0.55,
+                               seed=2**64 - 1)["A1_drift_regularity"]
+        qf, _ = _holder_and_sup(heat8.drift_f, heat8.gamma, 1.0, 200,
+                                heat8.n_modes, heat8.m_points, 0)
+        assert a1.status == "holds" and a1.witness["f_max_quotient"] == qf
 
 
 def reference_lambda_norm(t, a_lam, p_lam, p_q, extra=0.0):

@@ -467,6 +467,41 @@ def reference_picard(g, bbar, lam, kernel, order=24, n_panels=30, gl_order=8,
     return u, du, residual, iterations
 
 
+@st.composite
+def axis_transitions(draw):
+    """An uneven axis of 2 to 9 points, as in grid_functions, with 1 to 4
+    time nodes (decay, std), a Hermite order and, or not, damping
+    weights.  The last node's std is wide enough that points of every
+    node clamp on both sides of the axis."""
+    n = draw(st.integers(2, 9))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    axis = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    n_t = draw(st.integers(1, 4))
+    decay = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_t, max_size=n_t)))
+    std = np.array(draw(st.lists(st.floats(1e-3, 3.0), min_size=n_t - 1,
+                                 max_size=n_t - 1)) + [2.0 * np.max(np.abs(axis)) + 1.0])
+    order = draw(st.integers(3, 12))
+    # no subnormal damping: its scale has no relative precision to compare at
+    damp = draw(st.none() | st.lists(st.just(0.0) | st.floats(1e-3, 2.0),
+                                     min_size=n_t, max_size=n_t).map(np.array))
+    return axis, decay, std, order, damp
+
+
+def axis_matrices_reference(axis, decay, std, z, w, damp):
+    """_axis_matrices' maps from _hat's weights, scattered point by point."""
+    n, n_t = axis.shape[0], decay.shape[0]
+    v, dv = np.zeros((n_t, n, n)), np.zeros((n_t, n, n))
+    for t in range(n_t):
+        for i in range(n):
+            left, frac = zvonkin._hat(axis, axis[i] * decay[t] + z * std[t])
+            for m, wq in ((v, w), (dv, w * z * (decay[t] / std[t]))):
+                np.add.at(m[t, i], left, wq * (1.0 - frac))
+                np.add.at(m[t, i], left + 1, wq * frac)
+    if damp is None:
+        return v, dv
+    return np.tensordot(damp, v, 1), np.tensordot(damp, dv, 1)
+
+
 class TestAssembledSweep:
     @pytest.mark.parametrize("d, n", [(1, 33), (2, 9), (3, 5)])
     @pytest.mark.parametrize("t", [1e-6, 0.3, 5.0])
@@ -488,6 +523,27 @@ class TestAssembledSweep:
         got = np.moveaxis(b_op @ flat, 0, -1)
         err = np.max(np.abs(got - grad.reshape(got.shape)))
         assert err < 1e-13 * sup * np.max(decay / std)
+
+    @settings(max_examples=80, deadline=None)
+    @given(axis_transitions())
+    def test_axis_matrices_match_the_hat_weights(self, case):
+        axis, decay, std, order, damp = case
+        z, w = zvonkin._hermite_1d(order)
+        got = zvonkin._axis_matrices(axis, decay, std, z, w, damp)
+        ref = axis_matrices_reference(axis, decay, std, z, w, damp)
+        # every V row sums to its time node's sum_q w_q, every D row to
+        # decay/std sum_q w_q z_q, whatever cells the weights land in
+        sums, g_sums = np.full_like(decay, np.sum(w)), decay / std * np.sum(w * z)
+        if damp is not None:
+            sums, g_sums = damp @ sums, damp @ g_sums
+        # the weight scales of V and D
+        scale = 1.0 if damp is None else np.sum(damp)
+        g_scale = scale * np.max(decay / std) * np.sum(np.abs(w * z))
+        assert got[0].shape == ref[0].shape == got[1].shape == ref[1].shape
+        assert np.max(np.abs(got[0] - ref[0])) <= 1e-13 * scale
+        assert np.max(np.abs(got[1] - ref[1])) <= 1e-13 * g_scale
+        assert np.max(np.abs(got[0].sum(axis=-1).T - sums)) <= 1e-13 * scale
+        assert np.max(np.abs(got[1].sum(axis=-1).T - g_sums)) <= 1e-13 * g_scale
 
     @pytest.mark.parametrize("d, n", [(1, 65), (2, 9)])
     def test_solve_matches_per_node_loop(self, d, n):
