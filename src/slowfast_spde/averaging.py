@@ -31,7 +31,7 @@ from .errors import ConfigError, ErgodicityError
 from .model import ModelConfig
 from .noise import NoiseStream, _checked_seed, derive_substream
 from .simulate import _drift_coeffs, _finite, _frozen_fast, _whole_steps
-from .spectral import coeffs_to_grid_values, grid_values_to_coeffs
+from .spectral import grid_values_to_coeffs
 
 __all__ = [
     "AveragingParams",
@@ -153,16 +153,14 @@ def estimate_bbar_batch(config: ModelConfig, xs: np.ndarray, params: AveragingPa
     if stream is None:
         stream = derive_substream(seed, 0, "bbar", n)
 
-    m = config.m_points
-    step = _frozen_fast(config, params.dt)(
-        coeffs_to_grid_values(np.repeat(xs, reps, axis=0), m), big)
+    step = _frozen_fast(config, params.dt)(np.repeat(xs, reps, axis=0), big)
     n_burn, n_avg = _state_counts(params)
 
     # States 0 .. n_burn + n_avg - 1 with one step between neighbours; the
     # last n_avg are sampled.  Projection is linear, so the drift is
     # averaged on the grid and projected once; NaN and inf survive the sum,
     # so one check after the loop rejects a non-finite value on any sample.
-    b_grid = np.zeros((big, m))
+    b_grid = np.zeros((big, config.m_points))
     for i, y_grid in enumerate(step.states(y, stream, n_burn + n_avg - 1)):
         if i >= n_burn:
             b_grid += step.drift_b(y_grid)
@@ -329,8 +327,7 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     y = np.zeros((reps, n))
     y[:, 0] = 3.0
     stream = derive_substream(seed, 0, "mixing", n)
-    x_grid = coeffs_to_grid_values(np.broadcast_to(x, (reps, n)), config.m_points)
-    step = _frozen_fast(config, dt)(x_grid, reps)
+    step = _frozen_fast(config, dt)(np.broadcast_to(x, (reps, n)), reps)
     n_steps = _whole_steps(horizon, dt, "horizon")
     names = [f"mode_{i+1}" for i in range(k)] + [f"B_mode_{i+1}" for i in range(k)]
     track_mean = np.empty((n_steps + 1, 2 * k))

@@ -47,7 +47,6 @@ from .noise import _checked_seed
 from .simulate import (StepScheme, _drift_coeffs, _frozen_fast, _whole_steps,
                        simulate_auxiliary_fast, simulate_averaged,
                        simulate_slow_fast)
-from .spectral import coeffs_to_grid_values
 
 __all__ = [
     "RateTarget",
@@ -386,7 +385,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
 
     stream = derive_substream(seed, 0, "W2", n)
     freeze = _frozen_fast(config, dt)
-    step = freeze(coeffs_to_grid_values(x, config.m_points), n_mc)
+    step = freeze(x, n_mc)
     ya, yb = np.zeros((n_mc, n)), dy.copy()
     d0 = _norms(dy) ** 2
     ratios = {}
@@ -413,9 +412,7 @@ def contraction_test(config: ModelConfig, t_checks, dt: float, n_mc: int,
             dx *= s_off / np.linalg.norm(dx)
             xa, xb = x[0], x[0] + dx
             step_a, step_b = (
-                freeze(coeffs_to_grid_values(np.broadcast_to(xc, (n_mc, n)),
-                                             config.m_points), n_mc)
-                for xc in (xa, xb))
+                freeze(np.broadcast_to(xc, (n_mc, n)), n_mc) for xc in (xa, xb))
             ya2 = np.zeros((n_mc, n))
             yb2 = np.zeros((n_mc, n))
             acc, count = 0.0, 0
@@ -497,8 +494,7 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     dt_s = dt * stride
     x = np.asarray(x, dtype=float)
     stream = derive_substream(seed, 0, "corr", n)
-    x_grid = coeffs_to_grid_values(np.broadcast_to(x, (n_mc, n)), config.m_points)
-    step = _frozen_fast(config, dt)(x_grid, n_mc)
+    step = _frozen_fast(config, dt)(np.broadcast_to(x, (n_mc, n)), n_mc)
     y = np.zeros((n_mc, n))
     for _ in step.states(y, stream, _whole_steps(t_burn, dt, "t_burn")):
         pass

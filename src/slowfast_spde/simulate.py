@@ -10,10 +10,10 @@ the time-scale separation, never from the linear part or the noise.
 Every loop of the package over the frozen fast equation (the coupled
 substeps, the frozen and auxiliary integrators, the averaged-drift
 estimator and the frozen-dynamics experiments) steps with one private
-stepper, :func:`_frozen_fast`, in two stages: ``freeze(x_grid, rows)``
-binds a frozen slow state once (the drifts' x-parts, the noise law, the
-step's buffers and its sine products), and the returned
-``step(y, normals, y_grid=None)`` overwrites y in place without
+stepper, :func:`_frozen_fast`, in two stages: ``freeze(x, rows)`` binds
+a frozen slow state, coefficients (N,) or (rows, N), once (its grid values,
+the drifts' x-parts, the noise law, the buffers and sine products); the
+returned ``step(y, normals, y_grid=None)`` overwrites y in place without
 allocating; ``step.states`` runs it over a noise stream.  Its drift
 guard raises :class:`IntegrationError` naming the grid point of a
 non-finite value.
@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConfigError, IntegrationError
 from .model import ModelConfig
 from .noise import NoiseStream, conv_increment_law
-from .spectral import (_product, _sine_matrices, coeffs_to_grid_values,
+from .spectral import (_apply, _product, _sine_matrices, coeffs_to_grid_values,
                        grid_points, grid_values_to_coeffs)
 
 __all__ = [
@@ -159,24 +159,24 @@ def _bind(drift, x_grid: np.ndarray, x_parts: dict, vals: np.ndarray):
 def _frozen_fast(config: ModelConfig, h: float):
     """Mild exponential-Euler step of the fast equation, slow argument frozen.
 
-    Returns ``freeze(x_grid, rows)``, which binds one frozen slow state
-    (grid values ``x_grid``) for fields of ``rows`` paths (None: one
-    field of shape (N,)) and returns ``step(y, normals, y_grid=None)``.
+    Returns ``freeze(x, rows)``, which binds one frozen slow state (sine
+    coefficients ``x``, (N,) shared by all paths or (rows, N)) for ``rows``
+    paths (None: one (N,) field) and returns ``step(y, normals, y_grid=None)``.
     The step overwrites y with e^{A h}(y + h F(x, y)) + std * normals,
     the exact increment of sqrt(Q2) dW2 over fast time h, its law
     computed once here, and returns y.  The caller owns y and supplies
     the normals (two ensembles may share a draw; they are only read),
     and may pass the grid values of y it already holds.
 
-    Freezing computes the drifts' x-parts once (see :class:`ModelConfig`),
-    allocates the buffers the step writes (drift values, grid values of
-    y, projected drift, scaled noise) and binds the two sine products of
-    :func:`.spectral._product` for this row count, the only place that
-    knows the block rule.  A step then runs a fixed sequence of ``out=``
-    products and ufuncs and allocates no array (a drift outside the
-    protocol allocates its own values, which are copied into the buffer).
-    ``step.drift_b`` evaluates B(x, y) at given grid values with the
-    same frozen x, into the drift-value buffer (valid until the next
+    Freezing takes x to the grid and computes the drifts' x-parts once (see
+    :class:`ModelConfig`), allocates the buffers the step writes (drift
+    values, grid values of y, projected drift, scaled noise) and binds the
+    two sine products of :func:`.spectral._product` for this row count, the
+    only place that knows the block rule.  A step then runs a fixed sequence
+    of ``out=`` products and ufuncs and allocates no array (a drift outside
+    the protocol allocates its own values, which are copied into the
+    buffer).  ``step.drift_b`` evaluates B(x, y) at given grid values with
+    the same frozen x, into the drift-value buffer (valid until the next
     step or evaluation).  ``step.states(y, stream, n_steps)`` yields the
     grid values of y at states 0..n_steps (the grid buffer, valid until
     the next state), stepping y in place on one ``stream`` draw between
@@ -188,7 +188,8 @@ def _frozen_fast(config: ModelConfig, h: float):
     m, n = config.m_points, config.n_modes
     evaluate, project = _sine_matrices(n, m)
 
-    def freeze(x_grid: np.ndarray, rows: int | None):
+    def freeze(x: np.ndarray, rows: int | None):
+        x_grid = _apply(x, evaluate)
         lead = () if rows is None else (rows,)
         drift_values = np.empty(lead + (m,))
         grid = np.empty(lead + (m,))
@@ -261,6 +262,7 @@ class _MacroLaws(NamedTuple):
 
 
 def _macro_laws(scheme: StepScheme, eps: float, config: ModelConfig) -> _MacroLaws:
+    """The only writer of the fast-time substep h_f / eps = dt / (n_sub eps)."""
     dt = scheme.dt_macro
     n_sub = scheme.n_substeps(eps)
     return _MacroLaws(dt, conv_increment_law(dt, config.q1, config.eigs),
@@ -276,11 +278,12 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
     increment of sqrt(Q1) dW1.  Fast update: n_sub substeps of the fast
     equation in its own time (time-change identity: stepping (A/eps,
     Q2/eps) over h_f equals stepping (A, Q2) over h_f/eps), with the
-    slow argument frozen at the macro-step start.  Draw order per macro
-    step: one W1 vector, then n_sub W2 vectors (in blocks, see
-    :func:`_substeps`).  ``laws`` lets a caller that takes many steps
-    at the same (scheme, eps) pass the noise laws computed once; by
-    default they are computed here.  ``state`` is not modified.
+    slow argument frozen at the macro-step start (freezing takes x to the
+    grid; the slow drift and the first substep share y's grid values).
+    Draw order per macro step: one W1 vector, then n_sub W2 vectors (in
+    blocks, see :func:`_substeps`).  ``laws`` lets a caller that takes
+    many steps at the same (scheme, eps) pass the noise laws computed
+    once; by default they are computed here.  ``state`` is not modified.
     ``state.x`` and ``state.y`` must share a shape, as at construction,
     else :class:`ConfigError`.
     """
@@ -290,9 +293,8 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
         laws = _macro_laws(scheme, state.eps, config)
     n_paths = None if state.x.ndim == 1 else state.x.shape[0]
     decay1, std1 = laws.slow
-    x_grid = coeffs_to_grid_values(state.x, config.m_points)
     y_grid = coeffs_to_grid_values(state.y, config.m_points)
-    step = laws.freeze_fast(x_grid, n_paths)
+    step = laws.freeze_fast(state.x, n_paths)
     b = _drift_coeffs(step.drift_b(y_grid), config)
     x_new = decay1 * (state.x + laws.dt * b) + std1 * w1.standard_normals(n_paths)
     # the first substep reuses y_grid
@@ -356,10 +358,8 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     if dt <= 0:
         raise ConfigError("dt must be positive")
     y = _check_initial(y0, config).copy()
-    x = _check_initial(x, config)
     n_paths = None if y.ndim == 1 else y.shape[0]
-    step = _frozen_fast(config, dt)(coeffs_to_grid_values(x, config.m_points),
-                                     n_paths)
+    step = _frozen_fast(config, dt)(_check_initial(x, config), n_paths)
     n_steps = _whole_steps(t_final, dt, "t_final")
     ys = np.empty((n_steps + 1,) + y.shape)
     for i, _ in enumerate(step.states(y, w2, n_steps)):
@@ -405,25 +405,21 @@ def simulate_auxiliary_fast(config: ModelConfig, eps: float, slow_traj: Trajecto
     the block start, taken from ``slow_traj`` (sampled at the macro
     grid).  ``w2`` must be a replay of the stream that drove the true
     fast component: the two processes then share their noise exactly
-    and differ only through the freezing rule.  ``delta`` must be a
-    positive multiple of the macro step.
+    and differ only through the freezing rule, on the substeps of
+    :func:`_macro_laws`.  ``delta`` must be a positive multiple of the
+    macro step.
     """
-    dt = scheme.dt_macro
-    block = _whole_steps(delta, dt, "delta")
+    block = _whole_steps(delta, scheme.dt_macro, "delta")
     if block < 1:
         raise ConfigError("delta must be a positive multiple of dt_macro")
     n_steps = len(slow_traj) - 1
     y = _check_initial(y0, config).copy()
     n_paths = None if y.ndim == 1 else y.shape[0]
-    n_sub = scheme.n_substeps(eps)
-    freeze = _frozen_fast(config, dt / n_sub / eps)
-    times = slow_traj.times
+    laws = _macro_laws(scheme, eps, config)
     ys = np.empty((n_steps + 1,) + y.shape)
     ys[0] = y
-    step = None
     for i in range(n_steps):
         if i % block == 0:
-            step = freeze(coeffs_to_grid_values(slow_traj.states[i], config.m_points),
-                          n_paths)
-        ys[i + 1] = _substeps(step, y, w2, n_paths, n_sub)
-    return Trajectory(times, ys)
+            step = laws.freeze_fast(slow_traj.states[i], n_paths)
+        ys[i + 1] = _substeps(step, y, w2, n_paths, laws.n_sub)
+    return Trajectory(slow_traj.times, ys)

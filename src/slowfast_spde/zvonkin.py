@@ -224,6 +224,15 @@ def _hermite_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _check_quadrature(f: TruncatedFunction, kernel: OuKernel, order: int,
+                      name: str) -> None:
+    """Refuse an f of another dimension than the kernel's, or an order < 3."""
+    if f.dim != kernel.dim:
+        raise ConfigError(f"{name} and kernel dimensions differ")
+    if order < 3:
+        raise ValueError("quadrature order must be >= 3")
+
+
 def _kernel_apply(f: TruncatedFunction, t: float, kernel: OuKernel, order: int,
                   want_gradient: bool):
     """(T_t f, optionally DT_t f) sampled on f's own grid."""
@@ -246,12 +255,12 @@ def ou_semigroup_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
                        order: int = 24) -> TruncatedFunction:
     """(T_t f)(x) = E f(Z_t^x) by tensor Gauss-Hermite quadrature.
 
-    t = 0 returns f unchanged; requires at least cubic quadrature.
+    t = 0 returns f unchanged; f must have the kernel's dimension, and the
+    quadrature must be at least cubic (order >= 3).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if order < 3:
-        raise ValueError("quadrature order must be >= 3")
+    _check_quadrature(f, kernel, order, "f")
     if t == 0.0:
         return TruncatedFunction(f.axes, f.values.copy())
     mean, _ = _kernel_apply(f, t, kernel, order, want_gradient=False)
@@ -264,12 +273,11 @@ def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
 
     Output gains a trailing axis of length d.  t must be positive (the
     reweighting is singular at t = 0); the estimate needs only bounded
-    f, no smoothness.
+    f, no smoothness (order and dimension: see :func:`ou_semigroup_apply`).
     """
     if t <= 0:
         raise ValueError("gradient of the transition requires t > 0")
-    if order < 3:
-        raise ValueError("quadrature order must be >= 3")
+    _check_quadrature(f, kernel, order, "f")
     _, grad = _kernel_apply(f, t, kernel, order, want_gradient=True)
     return TruncatedFunction(f.axes, grad.reshape(f.grid_shape + f.out_shape
                                                   + (kernel.dim,)))
@@ -463,7 +471,7 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     the same time nodes.  The sweep is linear in psi = G + <Bbar, DU>,
     so its dense operators are assembled once per call and every sweep
     is two matrix products.  ``order`` is the Gauss-Hermite order per
-    axis.  The time integral takes T_t = Id on [0, _T_MIN] and
+    axis, >= 3.  The time integral takes T_t = Id on [0, _T_MIN] and
     _GL_ORDER-point Gauss-Legendre rules on _N_PANELS log-spaced panels
     of [_T_MIN, T_max] (:func:`_log_quadrature_nodes`; _T_MIN = 1e-8,
     _GL_ORDER = 8, _N_PANELS = 30), where T_max = 40 / min(lambda,
@@ -473,12 +481,14 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     :class:`PicardDivergenceError` (increase lambda).  Grids of more
     than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`, and
     a G or Bbar that is not finite at a grid node raises
-    :class:`IntegrationError` naming the node, before any assembly.
+    :class:`IntegrationError` naming the node, before any assembly;
+    ``max_iter`` < 1 raises :class:`ConfigError` before any work.
     """
     check_lambdas([lam])
+    _check_quadrature(g, kernel, order, "g")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     d = kernel.dim
-    if g.dim != d:
-        raise ConfigError("g and kernel dimensions differ")
     check_picard_grid(g.grid_shape)
     t_max = 40.0 / min(lam, float(kernel.eigenvalues[0]))
     if t_max == math.inf:

@@ -167,3 +167,10 @@ def test_trig_dispatch_is_null_without_introspection(bench_pairs, monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
     assert bench_pairs.trig_dispatch() is None
     assert bench_pairs.environment()["float64_dispatch"] is None
+
+
+def test_scipy_is_null_where_it_is_not_installed(bench_pairs, monkeypatch):
+    # numpy is the only runtime dependency; scipy is recorded if present
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    assert bench_pairs.scipy_version() is None
+    assert bench_pairs.environment()["scipy"] is None

@@ -149,8 +149,7 @@ class TestCallerArraysUnchanged:
 
     def test_shared_normals_are_only_read(self, heat, fields):
         # two ensembles stepped on one draw, as contraction_test does
-        step = _frozen_fast(heat, 0.02)(
-            coeffs_to_grid_values(fields(5, 8), heat.m_points), 5)
+        step = _frozen_fast(heat, 0.02)(fields(5, 8), 5)
         z, y = fields(5, 8), fields(5, 8)
         z0 = z.copy()
         ya, yb = y.copy(), y.copy()
@@ -265,22 +264,29 @@ class TestBoundProducts:
     def test_256_rows_is_the_last_single_product(self, heat32):
         assert _rows_per_product(heat32.n_modes, heat32.m_points) == 256
 
-    @pytest.mark.parametrize("rows,one_product", [(None, True), (1, True),
-                                                  (256, True), (257, False),
-                                                  (400, False)])
+    @pytest.mark.parametrize("rows,one_product,shared", [
+        pytest.param(None, True, False, id="None-True"),
+        pytest.param(1, True, False, id="1-True"),
+        pytest.param(256, True, False, id="256-True"),
+        pytest.param(257, False, False, id="257-False"),
+        pytest.param(400, False, False, id="400-False"),
+        # one (N,) field frozen for every row, as simulate_frozen does
+        pytest.param(4, True, True, id="4-True-shared"),
+    ])
     def test_steps_match_the_public_transforms(self, heat32, monkeypatch, rows,
-                                               one_product):
+                                               one_product, shared):
         # the cases cover both kinds of product: one np.dot, and row blocks
         assert ((rows or 1) <= _rows_per_product(32, 64)) is one_product
         rng = np.random.default_rng(53)
         shape = (32,) if rows is None else (rows, 32)
         scale = np.arange(1, 33)
-        x_grid = coeffs_to_grid_values(rng.standard_normal(shape) / scale, 64)
+        x = rng.standard_normal((32,) if shared else shape) / scale
+        x_grid = coeffs_to_grid_values(x, 64)
         y0 = rng.standard_normal(shape) / scale
         zs = rng.standard_normal((4,) + shape)
         ref = self.reference_steps(heat32, x_grid, y0, zs)
         calls = self.public_calls(monkeypatch)
-        step = _frozen_fast(heat32, self.H)(x_grid, rows)
+        step = _frozen_fast(heat32, self.H)(x, rows)
         y = y0.copy()
         for z in zs:
             assert step(y, z) is y
@@ -296,10 +302,10 @@ class TestStates:
         shape = (32,) if rows is None else (rows, 32)
         scale = np.arange(1, 33)
         freeze = _frozen_fast(heat32, 0.02)
-        x_grid = coeffs_to_grid_values(rng.standard_normal(shape) / scale, 64)
+        x = rng.standard_normal(shape) / scale
         y0 = rng.standard_normal(shape) / scale
         stream = derive_substream(3, 0, "W2", 32)
-        step = freeze(x_grid, rows)
+        step = freeze(x, rows)
         y = y0.copy()
         grids = 0
         for y_grid in step.states(y, stream, n_steps):
@@ -308,7 +314,7 @@ class TestStates:
         assert grids == n_steps + 1 and stream.draws == n_steps
         # the same steps, one replayed draw each
         ref, replay = y0.copy(), stream.replay()
-        ref_step = freeze(x_grid, rows)
+        ref_step = freeze(x, rows)
         for _ in range(n_steps):
             ref_step(ref, replay.standard_normals(rows))
         assert np.array_equal(y, ref)
@@ -322,8 +328,7 @@ class TestFrozenStateLifetime:
         # keep every state's buffers until the cyclic collector ran
         cfg = heat if drift == "protocol" else replace(
             heat, drift_f=plain(heat.drift_f), drift_b=plain(heat.drift_b))
-        step = _frozen_fast(cfg, 0.02)(
-            coeffs_to_grid_values(fields(4, 8), heat.m_points), 4)
+        step = _frozen_fast(cfg, 0.02)(fields(4, 8), 4)
         y = fields(4, 8)
         for y_grid in step.states(y, streams()[1], 2):
             step.drift_b(y_grid)
@@ -344,8 +349,7 @@ class TestNoAllocationPerStep:
         # factors broadcast over the paths, which is freed within the call
         # and holds at most 8192 values (64 KiB) whatever the batch.
         shape = (8,) if rows is None else (rows, 8)
-        step = _frozen_fast(heat, 0.02)(
-            coeffs_to_grid_values(fields(*shape), heat.m_points), rows)
+        step = _frozen_fast(heat, 0.02)(fields(*shape), rows)
         y, z = fields(*shape), fields(*shape)
         y_grid = coeffs_to_grid_values(y, heat.m_points)
         step(y, z)  # the first call without y_grid allocates the grid buffer

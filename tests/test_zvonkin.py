@@ -302,6 +302,55 @@ class TestPicard:
             picard_solve(g, zero_bbar, lam, KERNEL)
 
 
+class TestRefusedArguments:
+    """Every entry point refuses a quadrature order below 3, a function of
+    another dimension than the kernel's and (the solver) an iteration cap
+    below 1, before a quadrature node is built or Bbar is read."""
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def built(order):
+            raise AssertionError("a quadrature node was built before the check")
+        monkeypatch.setattr(zvonkin, "_hermite_1d", built)
+
+    @staticmethod
+    def unread_bbar(pts):
+        raise AssertionError("the drift was read before the check")
+
+    @staticmethod
+    def g_of_box():
+        return TruncatedFunction.from_callable(np.cos, box_axes(KERNEL, 33))
+
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_order_below_three(self, no_quadrature, order):
+        g = self.g_of_box()
+        match = "quadrature order must be >= 3"
+        with pytest.raises(ValueError, match=match):
+            picard_solve(g, self.unread_bbar, 2.0, KERNEL, order=order)
+        with pytest.raises(ValueError, match=match):
+            dlambda_curve(g, self.unread_bbar, KERNEL, [1.0, 2.0], order=order)
+        for t in (0.0, 0.1):
+            with pytest.raises(ValueError, match=match):
+                ou_semigroup_apply(g, t, KERNEL, order=order)
+        with pytest.raises(ValueError, match=match):
+            ou_gradient_apply(g, 0.1, KERNEL, order=order)
+
+    def test_dimension_mismatch_in_the_single_applies(self, no_quadrature):
+        g = self.g_of_box()
+        plane = OuKernel(np.array([1.0, 4.0]), np.array([1.0, 0.5]))
+        for t in (0.0, 0.1):
+            with pytest.raises(ConfigError, match="f and kernel dimensions differ"):
+                ou_semigroup_apply(g, t, plane)
+        with pytest.raises(ConfigError, match="f and kernel dimensions differ"):
+            ou_gradient_apply(g, 0.1, plane)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_cap_below_one(self, no_quadrature, max_iter):
+        with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+            picard_solve(self.g_of_box(), self.unread_bbar, 2.0, KERNEL,
+                         max_iter=max_iter)
+
+
 @st.composite
 def grid_functions(draw):
     """A TruncatedFunction on 1 to 3 uneven axes of 2 to 6 points, with

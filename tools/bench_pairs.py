@@ -179,9 +179,18 @@ def trig_dispatch() -> dict | None:
             for name in ("sin", "cos", "tan")}
 
 
+def scipy_version() -> str | None:
+    """scipy's version, or None where it is not installed (the package
+    and the benchmark need only numpy)."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
+
+
 def environment() -> dict:
     import numpy
-    import scipy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = ""
@@ -192,7 +201,7 @@ def environment() -> dict:
                 cpu = line.split(":", 1)[1].strip()
                 break
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "float64_dispatch": trig_dispatch(),
+            "scipy": scipy_version(), "float64_dispatch": trig_dispatch(),
             "blas": {k: blas.get(k) for k in ("name", "version",
                                                "openblas configuration")},
             "platform": platform.platform(), "cpu": cpu,
