@@ -22,24 +22,28 @@ lambda_1) on log-spaced Gauss-Legendre panels
 e^{-lambda T_max} <= e^{-40} of the integrand bound for every lambda.
 :func:`picard_solve` is the resolvent solve for one lambda, and
 :func:`dlambda_curve` calls it once per lambda.  Non-finite G or Bbar
-values are refused with :class:`IntegrationError` naming the grid node.
+values, and a non-finite f in the single applies, are refused with
+:class:`IntegrationError` naming the grid node.
 
 A sweep is linear in psi = G + <Bbar, DU>, and its transition
 operators do not depend on the iterate, so :func:`picard_solve`
 assembles the whole sweep once per solve as dense maps on the G grid
 nodes: A (G x G) for U and B (d x G x G) for DU, with the same
-Gauss-Hermite points and integration-by-parts weights as the per-node
+Gauss-Hermite points and integration-by-parts weights as the single
 applies.  The tensor rule factors per axis, so the maps are built from
 per-axis 1-D matrices (Kronecker products per time node for d >= 2);
 every sweep is then two matrix products.  The 1-D matrices
 (:func:`_axis_matrices`) locate their points in grid-index space with
-one ``np.interp`` rather than through :func:`_hat`, so their clamped
-hat weights equal _hat's up to rounding.  The maps hold
-(d + 1) * 8 * G^2 bytes, so picard_solve refuses grids of more than
-MAX_PICARD_NODES = 2^11 nodes (128 MiB at d = 3) with
+one ``np.interp`` (:func:`_locate`) rather than through :func:`_hat`,
+so their clamped hat weights equal _hat's up to rounding.  The maps
+hold (d + 1) * 8 * G^2 bytes, so picard_solve refuses grids of more
+than MAX_PICARD_NODES = 2^11 nodes (128 MiB at d = 3) with
 :class:`ConfigError`: 45 points per axis at d = 2 and 12 at d = 3.
 :func:`ou_semigroup_apply` and :func:`ou_gradient_apply` are single
-applies and evaluate the quadrature point by point.
+applies on grids of any size: they contract f with the same 1-D
+transitions one axis at a time, gathering f at the points
+:func:`_locate` finds, in chunks of Hermite nodes, without forming a
+matrix or a point of the tensor rule (:func:`_kernel_apply`).
 
 This module exists to verify the construction (fixed point, decay of
 the resolvent norm in lambda, gradient bounds) at desk scale, not for
@@ -78,6 +82,10 @@ MAX_PICARD_NODES = 1 << 11
 
 # Time nodes per assembly chunk, to bound the temporaries.
 _CHUNK_NODES = 16
+
+# Gathered values per Hermite-node chunk of a single apply (at least one
+# node per chunk), to bound its temporaries: 128 KiB an array.
+_CHUNK_POINTS = 1 << 14
 
 # picard_solve's time quadrature (see its docstring)
 _N_PANELS = 30
@@ -200,9 +208,13 @@ def _hat(axis: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def box_axes(kernel: OuKernel, n_per_axis: int = 257,
              radius_mult: float = 4.0) -> tuple[np.ndarray, ...]:
-    """Per-axis grids covering radius_mult stationary deviations."""
+    """Per-axis grids covering radius_mult stationary deviations; an axis
+    with q = 0 gets the unit radius.  radius_mult must be finite and
+    positive."""
     if n_per_axis < 2:
         raise ConfigError(f"need at least 2 points per axis, got {n_per_axis}")
+    if not 0.0 < radius_mult < math.inf:
+        raise ConfigError(f"radius_mult must be finite and positive, got {radius_mult}")
     radii = radius_mult * kernel.stationary_std()
     radii = np.where(radii > 0, radii, 1.0)
     return tuple(np.linspace(-r, r, n_per_axis) for r in radii)
@@ -214,16 +226,6 @@ def _hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w / math.sqrt(2.0 * math.pi)
 
 
-def _hermite_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor standard-normal quadrature: nodes (Q, d), weights (Q,)."""
-    z, w = _hermite_1d(order)
-    zs = np.meshgrid(*([z] * dim), indexing="ij")
-    ws = np.meshgrid(*([w] * dim), indexing="ij")
-    nodes = np.stack([a.ravel() for a in zs], axis=-1)
-    weights = np.prod(np.stack([a.ravel() for a in ws], axis=-1), axis=-1)
-    return nodes, weights
-
-
 def _check_quadrature(f: TruncatedFunction, kernel: OuKernel, order: int,
                       name: str) -> None:
     """Refuse an f of another dimension than the kernel's, or an order < 3."""
@@ -233,38 +235,108 @@ def _check_quadrature(f: TruncatedFunction, kernel: OuKernel, order: int,
         raise ValueError("quadrature order must be >= 3")
 
 
+def _locate(axis: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell and fraction of each point of ``pts`` on ``axis``, in grid-index
+    space: (cell, frac), both shaped like ``pts``.
+
+    One ``np.interp`` onto the node indices 0..n-1 gives each point's index
+    u: it clamps to the box, and along a sorted last axis of ``pts`` its
+    search starts from the previous point's cell.  The point lies in cell
+    min(floor(u), n - 2) at fraction u - cell, with no search, clip or
+    gather of its own.  That fraction is the one :func:`_hat` computes in
+    coordinates, but it passes through u, which spends bits on the cell
+    index, so it differs from _hat's by at most a few ulps of n - 1.
+    """
+    n = axis.shape[0]
+    frac = np.interp(pts, axis, np.arange(n, dtype=float))  # the index u
+    cell = np.minimum(frac.astype(np.intp), n - 2)
+    frac -= cell
+    return cell, frac
+
+
+def _axis_apply(jobs, a: int, axis: np.ndarray, decay: float, std: float,
+                z: np.ndarray) -> list[list[np.ndarray]]:
+    """Contract grid axis ``a`` of arrays with the 1-D transition.
+
+    Each job is (values, weight vectors), values of shape grid_shape +
+    out_shape; each weight vector u gives, at node i of ``axis``,
+    sum_q u_q f(x_i decay + z_q std), with f the values interpolated along
+    axis a by clamped linear hat weights.  Returns, per job, one array of
+    the values' shape per weight vector.  The points are located once
+    (:func:`_locate`) for every job, in chunks of Hermite nodes of at most
+    _CHUNK_POINTS gathered values, and each job's values are interpolated
+    there once, (1 - frac) f[cell] + frac f[cell + 1], for all its weights.
+    """
+    n = axis.shape[0]
+    flat = [np.moveaxis(v, a, 0).reshape(n, -1) for v, _ in jobs]
+    rest = flat[0].shape[1]
+    sums = [[np.zeros((n, rest)) for _ in ws] for _, ws in jobs]
+    step = max(1, _CHUNK_POINTS // max(n * rest, 1))
+    for s in range(0, z.shape[0], step):
+        # row q holds the images of the nodes under Hermite node q: sorted
+        cell, frac = _locate(axis, decay * axis + (std * z[s:s + step])[:, None])
+        lo = (1.0 - frac)[:, :, None]
+        frac = frac[:, :, None]
+        right = cell + 1
+        for vals, (_, ws), acc in zip(flat, jobs, sums):
+            interp = vals[cell]
+            interp *= lo
+            hi = vals[right]
+            hi *= frac
+            interp += hi
+            for u, out in zip(ws, acc):
+                out += np.tensordot(u[s:s + step], interp, 1)
+    shape = np.moveaxis(jobs[0][0], a, 0).shape
+    return [[np.moveaxis(out.reshape(shape), 0, a) for out in acc] for acc in sums]
+
+
 def _kernel_apply(f: TruncatedFunction, t: float, kernel: OuKernel, order: int,
-                  want_gradient: bool):
-    """(T_t f, optionally DT_t f) sampled on f's own grid."""
+                  want_gradient: bool) -> np.ndarray:
+    """T_t f, or with ``want_gradient`` D T_t f, sampled on f's own grid:
+    values of shape grid_shape + out_shape (+ (d,) for the gradient).
+
+    The tensor Gauss-Hermite rule, the diagonal kernel and multilinear
+    interpolation factor per axis, so T_t f = V_0 ... V_{d-1} f, and the
+    gradient on axis b takes D_b in place of V_b, with V_a and D_a the 1-D
+    matrices of :func:`_axis_matrices` (weights w_q and w_q z_q decay_a /
+    std_a).  They are applied one axis at a time by :func:`_axis_apply`
+    without being formed; on each axis, the partial V-contraction gives
+    both the next one and D_a.
+    """
     decay, std = kernel.transition(t)
-    x = f.grid_points()  # (G, d)
-    z, w = _hermite_nodes(order, kernel.dim)  # (Q, d), (Q,)
-    pts = x[:, None, :] * decay + z[None, :, :] * std  # (G, Q, d)
-    vals = f(pts)  # (G, Q, *out)
-    mean = np.tensordot(vals, w, axes=([1], [0]))  # (G, *out)
-    grad = None
-    if want_gradient:
-        if np.any(std == 0.0):
-            raise ValueError("gradient weights are singular for a degenerate axis")
-        wgt = w[:, None] * z * (decay / std)  # (Q, d)
-        grad = np.tensordot(vals, wgt, axes=([1], [0]))  # (G, *out, d)
-    return mean, grad
+    if want_gradient and np.any(std == 0.0):
+        raise ValueError("gradient weights are singular for a degenerate axis")
+    z, w = _hermite_1d(order)
+    # f contracted on the axes done so far: V on each (mean), or D on axis
+    # b and V on the others (grads[b]); the gradient leaves the last mean
+    # unused, which costs one weighted sum of values gathered anyway
+    mean, grads = f.values, []
+    for a, axis in enumerate(f.axes):
+        weights = [w, w * z * (decay[a] / std[a])] if want_gradient else [w]
+        (mean, *grad_a), *rest = _axis_apply(
+            [(mean, weights)] + [(g, [w]) for g in grads], a, axis, decay[a], std[a], z)
+        grads = [outs[0] for outs in rest] + grad_a
+    return np.stack(grads, axis=-1) if want_gradient else mean
 
 
 def ou_semigroup_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
                        order: int = 24) -> TruncatedFunction:
     """(T_t f)(x) = E f(Z_t^x) by tensor Gauss-Hermite quadrature.
 
-    t = 0 returns f unchanged; f must have the kernel's dimension, and the
-    quadrature must be at least cubic (order >= 3).
+    t = 0 returns f unchanged, and t = inf the stationary mean; a negative
+    or NaN t raises ValueError.  f must have the kernel's dimension, and
+    the quadrature must be at least cubic (order >= 3).  A value of f that
+    is not finite raises :class:`IntegrationError` naming its grid node.
+    All are checked before any quadrature node is built.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
     _check_quadrature(f, kernel, order, "f")
+    _require_finite("f", f.values, f.axes)
     if t == 0.0:
         return TruncatedFunction(f.axes, f.values.copy())
-    mean, _ = _kernel_apply(f, t, kernel, order, want_gradient=False)
-    return TruncatedFunction(f.axes, mean.reshape(f.grid_shape + f.out_shape))
+    return TruncatedFunction(f.axes, _kernel_apply(f, t, kernel, order,
+                                                   want_gradient=False))
 
 
 def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
@@ -272,15 +344,16 @@ def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
     """Gradient D(T_t f) via Gaussian integration by parts.
 
     Output gains a trailing axis of length d.  t must be positive (the
-    reweighting is singular at t = 0); the estimate needs only bounded
-    f, no smoothness (order and dimension: see :func:`ou_semigroup_apply`).
+    reweighting is singular at t = 0), and a NaN t raises ValueError; the
+    estimate needs only bounded f, no smoothness (order, dimension and
+    finite values: see :func:`ou_semigroup_apply`).
     """
-    if t <= 0:
-        raise ValueError("gradient of the transition requires t > 0")
+    if not t > 0:
+        raise ValueError(f"gradient of the transition requires t > 0, got {t}")
     _check_quadrature(f, kernel, order, "f")
-    _, grad = _kernel_apply(f, t, kernel, order, want_gradient=True)
-    return TruncatedFunction(f.axes, grad.reshape(f.grid_shape + f.out_shape
-                                                  + (kernel.dim,)))
+    _require_finite("f", f.values, f.axes)
+    return TruncatedFunction(f.axes, _kernel_apply(f, t, kernel, order,
+                                                   want_gradient=True))
 
 
 @dataclass
@@ -357,21 +430,15 @@ def _axis_matrices(axis: np.ndarray, decay: np.ndarray, std: np.ndarray,
 
     The quadrature points are laid out as (T, Q, n), so that along the
     last axis they are the images of neighbouring nodes and sorted, and
-    one ``np.interp`` onto the node indices 0..n-1 locates them all: it
-    clamps to the box, and its search starts from the previous point's
-    cell.  A point at index u lies in cell left = min(floor(u), n - 2)
-    at fraction u - left, with no search, clip or gather of its own.
-    That fraction is the one :func:`_hat` computes in coordinates, but
-    it passes through u, which spends bits on the cell index, so each
-    weight differs from _hat's by at most a few ulps of n - 1 times w_q
-    (times |z_q| decay_t / std_t in D).  Point evaluation keeps _hat, which is
-    exact at the nodes.
+    :func:`_locate` finds all their cells and fractions with one
+    ``np.interp`` onto the node indices.  So each weight differs from
+    :func:`_hat`'s by at most a few ulps of n - 1 times w_q (times |z_q|
+    decay_t / std_t in D).  Point evaluation keeps _hat, which is exact at
+    the nodes.
     """
     n, n_t = axis.shape[0], decay.shape[0]
     pts = decay[:, None, None] * axis + (std[:, None] * z)[:, :, None]  # (T, Q, n)
-    hi = np.interp(pts, axis, np.arange(n, dtype=float))  # the index u
-    cell = np.minimum(hi.astype(np.intp), n - 2)
-    hi -= cell  # the fraction
+    cell, hi = _locate(axis, pts)
     lo = 1.0 - hi
     cell += np.arange(0, n * n, n)  # row i of the node's own image
     if damp is None:
@@ -405,15 +472,16 @@ def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
     Returns A (G, G) and B (d, G, G) with new_U = A psi and new_DU[..., b]
     = B[b] psi for psi sampled on the G grid nodes (C order), where
     A = head I + sum_t damp_t K_t and K_t is the Gauss-Hermite transition
-    operator that :func:`_kernel_apply` evaluates at node t.  The tensor
-    rule, the diagonal kernel and multilinear interpolation all factor
-    per axis, so K_t is the Kronecker product of 1-D matrices (B[b]
-    takes the gradient matrix on axis b).  Time nodes are taken in
-    chunks.  For d = 1, where an axis has the most points, ``bincount``
-    scatters the damped sum over t directly, so no (T, n, n) stack is
-    built; for d >= 2 it scatters the per-node matrices, and the damped
-    Khatri-Rao product over t of the leading axes times the last axis'
-    matrices is one matrix product per chunk.
+    operator at time node t, which :func:`_kernel_apply` applies to a
+    single function one axis at a time.  The tensor rule, the diagonal
+    kernel and multilinear interpolation all factor per axis, so K_t is
+    the Kronecker product of 1-D matrices (B[b] takes the gradient
+    matrix on axis b).  Time nodes are taken in chunks.  For d = 1,
+    where an axis has the most points, ``bincount`` scatters the damped
+    sum over t directly, so no (T, n, n) stack is built; for d >= 2 it
+    scatters the per-node matrices, and the damped Khatri-Rao product
+    over t of the leading axes times the last axis' matrices is one
+    matrix product per chunk.
     """
     d = kernel.dim
     shape = tuple(a.shape[0] for a in axes)
@@ -450,13 +518,15 @@ def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
     return a_op, ops[1:]
 
 
-def _require_finite(name: str, vals: np.ndarray, x: np.ndarray) -> None:
-    """IntegrationError naming the first grid node of ``x`` (G, d) where
-    ``vals`` (grid shape first) is not finite."""
-    bad = ~np.all(np.isfinite(vals.reshape(x.shape[0], -1)), axis=1)
+def _require_finite(name: str, vals: np.ndarray, axes) -> None:
+    """IntegrationError naming the first node (C order) of the tensor grid
+    ``axes`` where ``vals`` (grid shape first) is not finite."""
+    shape = tuple(a.shape[0] for a in axes)
+    bad = ~np.all(np.isfinite(vals.reshape(math.prod(shape), -1)), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
-        where = ", ".join(f"{v:.6g}" for v in x[i])
+        node = np.unravel_index(i, shape)
+        where = ", ".join(f"{a[j]:.6g}" for a, j in zip(axes, node))
         raise IntegrationError(
             f"{name} is not finite at grid node {i}, x = ({where})")
 
@@ -495,9 +565,9 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
         raise ConfigError(f"lambda={lam:g} is too small for a finite time horizon")
     out = g.out_shape
     x = g.grid_points()
-    _require_finite("G", g.values, x)
+    _require_finite("G", g.values, g.axes)
     bbar_vals = np.asarray(bbar(x), dtype=float).reshape(g.grid_shape + (d,))
-    _require_finite("Bbar", bbar_vals, x)
+    _require_finite("Bbar", bbar_vals, g.axes)
     tol = 1e-3 * max(g.sup_norm(), 1e-12)
 
     nodes, weights = _log_quadrature_nodes(_T_MIN, t_max, _N_PANELS, _GL_ORDER)

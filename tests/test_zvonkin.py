@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -80,6 +81,16 @@ class TestTransitionQuadrature:
         f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
         with pytest.raises(ValueError):
             ou_semigroup_apply(f, 0.1, KERNEL, order=2)
+
+    def test_infinite_time_is_the_stationary_mean(self, axes):
+        # every node maps to sigma Z: E cos(sigma Z) = e^{-sigma^2 / 2}, up to
+        # the O(h^2) bias of the multilinear representation
+        f = TruncatedFunction.from_callable(np.cos, axes)
+        out = ou_semigroup_apply(f, math.inf, KERNEL, order=40)
+        assert np.max(np.abs(out.values - math.exp(-SIGMA**2 / 2.0))) < 1e-3
+        assert np.ptp(out.values) < 1e-15
+        assert np.array_equal(ou_gradient_apply(f, math.inf, KERNEL).values,
+                              np.zeros(f.values.shape + (1,)))
 
     def test_negative_time_rejected(self, axes):
         f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
@@ -344,6 +355,29 @@ class TestRefusedArguments:
         with pytest.raises(ConfigError, match="f and kernel dimensions differ"):
             ou_gradient_apply(g, 0.1, plane)
 
+    def test_nan_time_in_the_single_applies(self, no_quadrature):
+        g = self.g_of_box()
+        with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
+            ou_semigroup_apply(g, math.nan, KERNEL)
+        with pytest.raises(ValueError, match="requires t > 0, got nan"):
+            ou_gradient_apply(g, math.nan, KERNEL)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_f_is_located(self, no_quadrature, bad, d):
+        kernel = kernel_of_dim(d)
+        f = TruncatedFunction.from_callable(np.cos, box_axes(kernel, 9))
+        values = f.values.copy()
+        values.reshape(-1, d)[7, d - 1] = bad
+        f = TruncatedFunction(f.axes, values)
+        where = ", ".join(f"{v:.6g}" for v in f.grid_points()[7])
+        message = re.escape(f"f is not finite at grid node 7, x = ({where})")
+        for t in (0.0, 0.1):
+            with pytest.raises(IntegrationError, match=message):
+                ou_semigroup_apply(f, t, kernel)
+        with pytest.raises(IntegrationError, match=message):
+            ou_gradient_apply(f, 0.1, kernel)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_cap_below_one(self, no_quadrature, max_iter):
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
@@ -455,6 +489,17 @@ class TestTruncatedFunction:
         with pytest.raises(ConfigError, match="at least 2 points per axis"):
             box_axes(KERNEL, n_per_axis=n)
 
+    @pytest.mark.parametrize("mult", [0.0, -8.0, math.nan, math.inf])
+    def test_box_axes_need_a_finite_positive_radius(self, mult):
+        with pytest.raises(ConfigError, match="radius_mult must be finite and positive"):
+            box_axes(KERNEL, n_per_axis=5, radius_mult=mult)
+
+    def test_box_axes_of_a_noiseless_mode_are_the_unit_box(self):
+        kernel = OuKernel(np.array([1.0, 4.0]), np.array([1.0, 0.0]))
+        axes = box_axes(kernel, n_per_axis=5, radius_mult=3.0)
+        assert np.array_equal(axes[0], np.linspace(-3.0, 3.0, 5) * SIGMA)
+        assert np.array_equal(axes[1], np.linspace(-1.0, 1.0, 5))
+
     def test_two_dimensional_kernel(self):
         # d = 2 sanity: constants fixed, means decay per axis
         k2 = OuKernel(np.array([1.0, 4.0]), np.array([1.0, 0.5]))
@@ -479,9 +524,26 @@ def clamped_axes(kernel, n):
                  for j, a in enumerate(box_axes(kernel, n, radius_mult=2.0)))
 
 
+def kernel_apply_reference(f, t, kernel, order):
+    """(T_t f, D T_t f) on f's own grid, point by point: every pair of a
+    grid node and a tensor Gauss-Hermite node is evaluated through
+    TruncatedFunction (its _hat weights), and the values are summed with
+    the tensor weights and the integration-by-parts weights."""
+    decay, std = kernel.transition(t)
+    z1, w1 = zvonkin._hermite_1d(order)
+    z = np.stack([a.ravel() for a in np.meshgrid(*[z1] * f.dim, indexing="ij")], -1)
+    w = np.prod([a.ravel() for a in np.meshgrid(*[w1] * f.dim, indexing="ij")], axis=0)
+    x = f.grid_points()
+    vals = f(x[:, None, :] * decay + z[None, :, :] * std)  # (G, Q, *out)
+    mean = np.tensordot(vals, w, axes=([1], [0]))
+    grad = np.tensordot(vals, w[:, None] * z * (decay / std), axes=([1], [0]))
+    return mean.reshape(f.values.shape), grad.reshape(f.values.shape + (f.dim,))
+
+
 def reference_picard(g, bbar, lam, kernel, order=24, n_panels=30, gl_order=8,
                      t_min=1e-8, max_iter=60):
-    """The sweep as a loop of per-node kernel applies (no assembled operator)."""
+    """The sweep as a loop of per-node point-by-point applies
+    (:func:`kernel_apply_reference`; no assembled operator)."""
     d = kernel.dim
     bbar_vals = np.asarray(bbar(g.grid_points()), dtype=float).reshape(
         g.grid_shape + (d,))
@@ -497,9 +559,9 @@ def reference_picard(g, bbar, lam, kernel, order=24, n_panels=30, gl_order=8,
         new_u = head * psi_vals
         new_du = np.zeros_like(du_vals)
         for t, w in zip(nodes, damp):
-            mean, grad = zvonkin._kernel_apply(psi, t, kernel, order, True)
-            new_u = new_u + w * mean.reshape(new_u.shape)
-            new_du += w * grad.reshape(new_du.shape)
+            mean, grad = kernel_apply_reference(psi, t, kernel, order)
+            new_u = new_u + w * mean
+            new_du += w * grad
         return new_u, new_du
 
     u = np.zeros(g.values.shape)
@@ -561,8 +623,8 @@ class TestAssembledSweep:
                                               np.array([1.0]), 0.0)
         psi = np.random.default_rng(d).standard_normal(
             tuple(a.shape[0] for a in axes) + (2,))
-        mean, grad = zvonkin._kernel_apply(TruncatedFunction(axes, psi), t,
-                                           kernel, 12, want_gradient=True)
+        mean, grad = kernel_apply_reference(TruncatedFunction(axes, psi), t,
+                                            kernel, 12)
         flat = psi.reshape(a_op.shape[0], -1)
         # the Hermite weights sum to 1; the gradient weights to at most
         # decay/std per axis, the scale of the cancelling summands
@@ -643,6 +705,86 @@ class TestAssembledSweep:
         assert sol.converged
         assert sol.residual < 1e-2 * g.sup_norm()
         assert sol.du.values.shape == (5, 5, 5, 3, 3)
+
+
+@st.composite
+def apply_cases(draw):
+    """f on 1 to 3 uneven axes of 2 to 7 points with 1 or 2 output
+    components, an OU kernel, a time and a Hermite order.  Each box spans
+    at most about two stationary deviations, off centre, so Hermite points
+    of every node clamp to its boundary."""
+    d = draw(st.integers(1, 3))
+    lam = np.array(draw(st.lists(st.floats(0.5, 10.0), min_size=d, max_size=d)))
+    q = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=d, max_size=d)))
+    kernel = OuKernel(lam, q)
+    axes = []
+    for sd in kernel.stationary_std():
+        n = draw(st.integers(2, 7))
+        steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+        axis = np.concatenate([[0.0], np.cumsum(steps)])
+        axes.append(sd * (2.0 * axis / axis[-1] - 1.0 + draw(st.floats(-1.0, 1.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(tuple(a.size for a in axes) + (draw(st.integers(1, 2)),))
+    return (TruncatedFunction(axes, values), kernel, draw(st.floats(1e-4, 5.0)),
+            draw(st.integers(3, 12)))
+
+
+class TestSingleApplies:
+    @settings(max_examples=60, deadline=None)
+    @given(apply_cases())
+    def test_match_the_point_by_point_reference(self, case):
+        f, kernel, t, order = case
+        mean, grad = kernel_apply_reference(f, t, kernel, order)
+        sg = ou_semigroup_apply(f, t, kernel, order=order).values
+        gd = ou_gradient_apply(f, t, kernel, order=order).values
+        # the Hermite weights sum to 1; the gradient weights to at most
+        # decay/std per axis
+        sup = np.max(np.abs(f.values))
+        decay, std = kernel.transition(t)
+        assert sg.shape == mean.shape and gd.shape == grad.shape
+        assert np.max(np.abs(sg - mean)) <= 1e-13 * sup
+        assert np.max(np.abs(gd - grad)) <= 1e-13 * sup * np.max(decay / std)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_output_components(self, d):
+        kernel = kernel_of_dim(d)
+        f = TruncatedFunction(box_axes(kernel, 9), np.zeros((9,) * d + (0,)))
+        assert ou_semigroup_apply(f, 0.5, kernel).values.shape == (9,) * d + (0,)
+        assert ou_gradient_apply(f, 0.5, kernel).values.shape == (9,) * d + (0, d)
+
+    def test_bench_sized_apply_stays_small(self):
+        # the zvonkin-1d bench's applies: 8193 nodes, order 40
+        fine = (np.linspace(-8.0 * SIGMA, 8.0 * SIGMA, 8193),)
+        f = TruncatedFunction.from_callable(
+            lambda p: np.sin(p) * np.exp(-p**2 / 8.0), fine)
+        for apply in (ou_semigroup_apply, ou_gradient_apply):
+            tracemalloc.start()
+            try:
+                apply(f, 0.4, KERNEL, order=40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, (apply.__name__, peak)
+
+    def test_three_dimensional_cap_grid(self):
+        # constants are fixed and linear means decay by e^{-lambda_a t} per
+        # axis, on picard_solve's largest d = 3 grid; away from the box edge
+        # the clamped Hermite mass is below e^{-24}
+        kernel = kernel_of_dim(3)
+        axes = box_axes(kernel, n_per_axis=12, radius_mult=8.0)
+        one = TruncatedFunction.from_callable(lambda p: np.ones((p.shape[0], 1)), axes)
+        f = TruncatedFunction.from_callable(lambda p: p.copy(), axes)
+        t0 = time.perf_counter()
+        const = ou_semigroup_apply(one, 0.5, kernel, order=24).values
+        lin = ou_semigroup_apply(f, 0.5, kernel, order=24).values
+        assert time.perf_counter() - t0 < 1.0
+        assert np.max(np.abs(const - 1.0)) < 1e-12
+        x = np.moveaxis(f.values, -1, 0)
+        core = np.all(np.abs(x) <= kernel.stationary_std()[:, None, None, None], axis=0)
+        assert np.count_nonzero(core) == 8
+        for a in range(3):
+            decayed = np.exp(-kernel.eigenvalues[a] * 0.5) * x[a]
+            assert np.max(np.abs(lin[..., a] - decayed)[core]) < 1e-9
 
 
 def test_time_nodes_are_the_log_panel_rule():
