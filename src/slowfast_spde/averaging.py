@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ErgodicityError
 from .model import ModelConfig
-from .noise import NoiseStream, _checked_seed, derive_substream
+from .noise import NoiseStream, _checked_count, _checked_seed, derive_substream
 from .simulate import _drift_coeffs, _finite, _frozen_fast, _whole_steps
 from .spectral import grid_values_to_coeffs
 
@@ -47,7 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class AveragingParams:
     """Burn-in/averaging horizons, substep and replica count; ``t_avg`` is
-    a whole number of steps, ``t_burn`` is rounded to the nearest step."""
+    a whole number of steps, ``t_burn`` is rounded to the nearest step,
+    and ``n_replicas`` is an integer >= 2."""
 
     t_burn: float
     t_avg: float
@@ -67,7 +68,7 @@ class AveragingParams:
                                   f"got {getattr(self, name)}")
         if _whole_steps(self.t_avg, self.dt, "t_avg") < 1:
             raise ConfigError(f"t_avg = {self.t_avg:g} is shorter than one step")
-        if self.n_replicas < 2:
+        if _checked_count(self.n_replicas, "n_replicas", ConfigError) < 2:
             raise ConfigError("need at least 2 replicas for an error bar")
 
     @classmethod
@@ -315,10 +316,11 @@ def mixing_diagnostic(config: ModelConfig, x, horizon: float, n_replicas: int,
     3 mode coordinates and the matching components of B(x, .).  The
     equilibrium value mu(phi) is taken from the final quarter of the
     horizon.  A horizon shorter than the relaxation time (fewer than 4
-    usable fit points) is flagged as insufficient data.
+    usable fit points) is flagged as insufficient data.  ``n_replicas``
+    must be an integer >= 2.
     """
     _require_gap(config)
-    reps = int(n_replicas)
+    reps = _checked_count(n_replicas, "n_replicas", ConfigError)
     if reps < 2:
         raise ConfigError("need at least 2 replicas for an error bar")
     x = np.asarray(x, dtype=float)

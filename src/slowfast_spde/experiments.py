@@ -486,9 +486,11 @@ def correlation_decay(config: ModelConfig, x, lag_max: float, n_mc: int,
     and ``window`` must be whole multiples of these).  The fitted
     exponential rate must reach (lambda_1 - L_F) * beta / 2 within its
     CI; lags where the signal drops below twice its standard error are
-    excluded from the fit.
+    excluded from the fit.  ``lag_max`` must be finite and positive.
     """
     _require_paths(n_mc)
+    if not 0.0 < lag_max < math.inf:
+        raise ConfigError(f"lag_max must be finite and positive, got {lag_max}")
     n = config.n_modes
     dt, stride = 0.02, 5
     dt_s = dt * stride

@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .noise import NoiseSpectrum, _checked_seed, power_law_spectrum
+from .noise import NoiseSpectrum, _checked_count, _checked_seed, power_law_spectrum
 from .spectral import MAX_TRANSFORM_SIZE, PI, OperatorSpectrum, coeffs_to_grid_values
 
 __all__ = [
@@ -212,14 +212,14 @@ def heat_example(r1: float, r2: float, n_modes: int, m_points: int | None = None
     lambda_k = k^2, q_k^{(i)} = k^{-2 r_i}; requires r1, r2 in (0, 1/7)
     so that the strong-dissipativity and trace conditions hold with
     kappa_1 = 3/4.  Grid default is 2x padding (M = 2N) to control
-    aliasing of the pointwise drifts.
+    aliasing of the pointwise drifts.  ``n_modes`` must be an integer >= 1.
     """
     for name, r in (("r1", r1), ("r2", r2)):
         if not 0.0 < r < 1.0 / 7.0:
             raise ConfigError(
                 f"{name} must lie in (0, 1/7) for the heat-example spectra, got {r}"
             )
-    if n_modes < 1:
+    if _checked_count(n_modes, "n_modes", ConfigError) < 1:
         raise ConfigError("n_modes must be positive")
     if m_points is None:
         m_points = 2 * n_modes

@@ -77,13 +77,26 @@ def power_law_spectrum(n_modes: int, r: float) -> NoiseSpectrum:
     return NoiseSpectrum(k ** (-2.0 * r), decay_exponent=r)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool, a float or a string is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked_seed(seed) -> int:
     """``seed`` as an int, if it is a Python or numpy integer in [0, 2^64);
     anything else (a float, a bool, a string) raises ValueError."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= int(seed) < 2**64):
+    if not _is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return int(seed)
+
+
+def _checked_count(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, if it is a Python or numpy integer; anything
+    else (a float, a bool) raises ``error`` naming ``name``, so no count is
+    rounded.  The caller checks the minimum."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _role_code(role: str) -> int:
@@ -98,18 +111,18 @@ class NoiseStream:
     independent streams; the role tag separates the driving noises of
     the slow and fast equations.  The seed is a Python or numpy integer
     in [0, 2^64); any other value is refused, not truncated or reduced
-    modulo 2^64.
+    modulo 2^64.  ``n_modes`` and ``index`` must be integers too.
     """
 
     __slots__ = ("seed", "index", "role", "n_modes", "_gen", "draws")
 
     def __init__(self, seed: int, n_modes: int, index: int = 0, role: str = "W1"):
-        if n_modes < 1:
+        self.n_modes = _checked_count(n_modes, "n_modes")
+        if self.n_modes < 1:
             raise ValueError("n_modes must be positive")
         self.seed = _checked_seed(seed)
-        self.index = int(index)
+        self.index = _checked_count(index, "index")
         self.role = str(role)
-        self.n_modes = int(n_modes)
         entropy = (self.seed, self.index, _role_code(self.role))
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
         self.draws = 0
@@ -171,10 +184,11 @@ def conv_increment_law(
         std_k   = sqrt(q_k * (1 - exp(-2 lambda_k delta)) / (2 lambda_k)),
 
     the parameters of the exact one-step Ornstein-Uhlenbeck transition
-    x_k -> decay_k * x_k + drift + std_k * zeta.
+    x_k -> decay_k * x_k + drift + std_k * zeta.  ``delta`` must be
+    finite and positive.
     """
-    if delta <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {delta}")
     n = min(spectrum.n_modes, eigs.n_modes)
     return _ou_law(eigs.eigenvalues[:n], spectrum.q[:n], delta)
 

@@ -74,7 +74,7 @@ class StepScheme:
 
     The substep count per macro step is ceil(dt_macro / (eps * factor)),
     so the fast relaxation time O(eps) is always resolved; the substep
-    is then dt_macro / n_sub exactly.
+    is then dt_macro / n_sub exactly.  eps must lie in (0, 1).
     """
 
     dt_macro: float
@@ -88,6 +88,8 @@ class StepScheme:
             raise ConfigError("fast_substep_factor must lie in (0, 1]")
 
     def n_substeps(self, eps: float) -> int:
+        if not 0.0 < eps < 1.0:
+            raise ConfigError(f"eps must lie in (0, 1), got {eps}")
         return max(1, math.ceil(self.dt_macro / (eps * self.fast_substep_factor)))
 
 
@@ -303,14 +305,17 @@ def step_slow_fast(state: SlowFastState, scheme: StepScheme, w1: NoiseStream,
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
-    """span / dt as a step count; ``span`` must be a nonnegative multiple
-    of ``dt`` to 1e-9 relative, so no horizon is silently rounded."""
+    """span / dt as a step count; the step ``dt`` must be finite and
+    positive, and ``span`` a finite, nonnegative multiple of it to 1e-9
+    relative, so no horizon is silently rounded."""
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt:g} "
+                          f"(the step of {name})")
     ratio = span / dt
-    n = round(ratio)
-    if span < 0 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+    if not 0.0 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
         raise ConfigError(f"{name} = {span:g} is not a nonnegative multiple of "
                           f"the step {dt:g}")
-    return int(n)
+    return int(round(ratio))
 
 
 def _check_initial(coeffs, config) -> np.ndarray:
@@ -355,12 +360,10 @@ def simulate_frozen(config: ModelConfig, x, y0, t_final: float, dt: float,
     Runs in the fast variable's own time; same exponential-Euler rule
     as the coupled integrator.  ``t_final`` must be a multiple of ``dt``.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    n_steps = _whole_steps(t_final, dt, "t_final")
     y = _check_initial(y0, config).copy()
     n_paths = None if y.ndim == 1 else y.shape[0]
     step = _frozen_fast(config, dt)(_check_initial(x, config), n_paths)
-    n_steps = _whole_steps(t_final, dt, "t_final")
     ys = np.empty((n_steps + 1,) + y.shape)
     for i, _ in enumerate(step.states(y, w2, n_steps)):
         ys[i] = y
@@ -376,12 +379,10 @@ def simulate_averaged(config: ModelConfig, x0, t_final: float, dt: float,
     stream derived from the same key couples the two solutions
     pathwise.  ``t_final`` must be a multiple of ``dt``.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    n_steps = _whole_steps(t_final, dt, "t_final")
     x = _check_initial(x0, config)
     n_paths = None if x.ndim == 1 else x.shape[0]
     decay, std = conv_increment_law(dt, config.q1, config.eigs)
-    n_steps = _whole_steps(t_final, dt, "t_final")
     times = np.arange(n_steps + 1) * dt
     xs = np.empty((n_steps + 1,) + x.shape)
     xs[0] = x

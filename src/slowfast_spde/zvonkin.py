@@ -40,10 +40,12 @@ hold (d + 1) * 8 * G^2 bytes, so picard_solve refuses grids of more
 than MAX_PICARD_NODES = 2^11 nodes (128 MiB at d = 3) with
 :class:`ConfigError`: 45 points per axis at d = 2 and 12 at d = 3.
 :func:`ou_semigroup_apply` and :func:`ou_gradient_apply` are single
-applies on grids of any size: they contract f with the same 1-D
-transitions one axis at a time, gathering f at the points
-:func:`_locate` finds, in chunks of Hermite nodes, without forming a
-matrix or a point of the tensor rule (:func:`_kernel_apply`).
+applies on grids of any size, one chain of the same 1-D transitions per
+output (:func:`_transition`): V on every axis for T_t f, with D on axis
+b for the b-th gradient component, as in the assembled maps.  Each link
+contracts one axis of one array (:func:`_axis_apply`), gathering it at
+the points :func:`_locate` finds, in chunks of Hermite nodes, without
+forming a matrix or a point of the tensor rule.
 
 This module exists to verify the construction (fixed point, decay of
 the resolvent norm in lambda, gradient bounds) at desk scale, not for
@@ -141,9 +143,10 @@ class TruncatedFunction:
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values, dtype=float)
-        if not all(a.ndim == 1 and a.size >= 2 and np.all(np.diff(a) > 0)
-                   for a in self.axes):
-            raise ConfigError("each axis must be strictly increasing, of at least 2 points")
+        if not all(a.ndim == 1 and a.size >= 2 and np.all(np.isfinite(a))
+                   and np.all(np.diff(a) > 0) for a in self.axes):
+            raise ConfigError("each axis must be finite and strictly increasing, "
+                              "of at least 2 points")
         if self.values.shape[: self.dim] != tuple(a.size for a in self.axes):
             raise ConfigError("values do not match the grid shape")
 
@@ -192,9 +195,15 @@ class TruncatedFunction:
 
     @classmethod
     def from_callable(cls, fn, axes) -> "TruncatedFunction":
+        """fn tabulated on the tensor grid ``axes``: fn maps the (n_nodes,
+        d) grid points to one row per node, else :class:`ConfigError`."""
         # the axes are checked before fn, which may be costly, is called
         grid = cls(axes, np.empty([np.size(a) for a in axes]))
         vals = np.asarray(fn(grid.grid_points()), dtype=float)
+        n_nodes = math.prod(grid.grid_shape)
+        if vals.shape[:1] != (n_nodes,):
+            raise ConfigError(f"fn returned shape {vals.shape}, expected "
+                              f"({n_nodes}, ...): one row per grid node")
         return cls(grid.axes, vals.reshape(grid.grid_shape + vals.shape[1:]))
 
 
@@ -254,69 +263,51 @@ def _locate(axis: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell, frac
 
 
-def _axis_apply(jobs, a: int, axis: np.ndarray, decay: float, std: float,
-                z: np.ndarray) -> list[list[np.ndarray]]:
-    """Contract grid axis ``a`` of arrays with the 1-D transition.
+def _axis_apply(values: np.ndarray, a: int, axis: np.ndarray, decay: float,
+                std: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Contract grid axis ``a`` of ``values`` with one 1-D transition.
 
-    Each job is (values, weight vectors), values of shape grid_shape +
-    out_shape; each weight vector u gives, at node i of ``axis``,
-    sum_q u_q f(x_i decay + z_q std), with f the values interpolated along
-    axis a by clamped linear hat weights.  Returns, per job, one array of
-    the values' shape per weight vector.  The points are located once
-    (:func:`_locate`) for every job, in chunks of Hermite nodes of at most
-    _CHUNK_POINTS gathered values, and each job's values are interpolated
-    there once, (1 - frac) f[cell] + frac f[cell + 1], for all its weights.
+    ``values`` has shape grid_shape + out_shape, and so has the result: at
+    node i of ``axis`` it is sum_q u_q f(x_i decay + z_q std), with f the
+    values interpolated along axis a by clamped linear hat weights.  The
+    points are located (:func:`_locate`) in chunks of Hermite nodes of at
+    most _CHUNK_POINTS gathered values, and the values interpolated there,
+    (1 - frac) f[cell] + frac f[cell + 1].
     """
     n = axis.shape[0]
-    flat = [np.moveaxis(v, a, 0).reshape(n, -1) for v, _ in jobs]
-    rest = flat[0].shape[1]
-    sums = [[np.zeros((n, rest)) for _ in ws] for _, ws in jobs]
-    step = max(1, _CHUNK_POINTS // max(n * rest, 1))
+    moved = np.moveaxis(values, a, 0)
+    flat = moved.reshape(n, -1)
+    out = np.zeros(flat.shape)
+    step = max(1, _CHUNK_POINTS // max(flat.size, 1))
     for s in range(0, z.shape[0], step):
         # row q holds the images of the nodes under Hermite node q: sorted
         cell, frac = _locate(axis, decay * axis + (std * z[s:s + step])[:, None])
-        lo = (1.0 - frac)[:, :, None]
-        frac = frac[:, :, None]
-        right = cell + 1
-        for vals, (_, ws), acc in zip(flat, jobs, sums):
-            interp = vals[cell]
-            interp *= lo
-            hi = vals[right]
-            hi *= frac
-            interp += hi
-            for u, out in zip(ws, acc):
-                out += np.tensordot(u[s:s + step], interp, 1)
-    shape = np.moveaxis(jobs[0][0], a, 0).shape
-    return [[np.moveaxis(out.reshape(shape), 0, a) for out in acc] for acc in sums]
+        interp = flat[cell]
+        interp *= (1.0 - frac)[:, :, None]
+        interp += flat[cell + 1] * frac[:, :, None]
+        out += np.tensordot(u[s:s + step], interp, 1)
+    return np.moveaxis(out.reshape(moved.shape), 0, a)
 
 
-def _kernel_apply(f: TruncatedFunction, t: float, kernel: OuKernel, order: int,
-                  want_gradient: bool) -> np.ndarray:
-    """T_t f, or with ``want_gradient`` D T_t f, sampled on f's own grid:
-    values of shape grid_shape + out_shape (+ (d,) for the gradient).
+def _transition(f: TruncatedFunction, t: float, kernel: OuKernel, order: int,
+                b: int | None = None) -> np.ndarray:
+    """T_t f sampled on f's own grid, or, given axis ``b``, the b-th
+    component of D T_t f: values of f's shape.
 
     The tensor Gauss-Hermite rule, the diagonal kernel and multilinear
     interpolation factor per axis, so T_t f = V_0 ... V_{d-1} f, and the
     gradient on axis b takes D_b in place of V_b, with V_a and D_a the 1-D
     matrices of :func:`_axis_matrices` (weights w_q and w_q z_q decay_a /
-    std_a).  They are applied one axis at a time by :func:`_axis_apply`
-    without being formed; on each axis, the partial V-contraction gives
-    both the next one and D_a.
+    std_a), applied one axis at a time by :func:`_axis_apply` without
+    being formed.
     """
     decay, std = kernel.transition(t)
-    if want_gradient and np.any(std == 0.0):
-        raise ValueError("gradient weights are singular for a degenerate axis")
     z, w = _hermite_1d(order)
-    # f contracted on the axes done so far: V on each (mean), or D on axis
-    # b and V on the others (grads[b]); the gradient leaves the last mean
-    # unused, which costs one weighted sum of values gathered anyway
-    mean, grads = f.values, []
+    vals = f.values
     for a, axis in enumerate(f.axes):
-        weights = [w, w * z * (decay[a] / std[a])] if want_gradient else [w]
-        (mean, *grad_a), *rest = _axis_apply(
-            [(mean, weights)] + [(g, [w]) for g in grads], a, axis, decay[a], std[a], z)
-        grads = [outs[0] for outs in rest] + grad_a
-    return np.stack(grads, axis=-1) if want_gradient else mean
+        u = w * z * (decay[a] / std[a]) if a == b else w
+        vals = _axis_apply(vals, a, axis, decay[a], std[a], z, u)
+    return vals
 
 
 def ou_semigroup_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
@@ -335,8 +326,7 @@ def ou_semigroup_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
     _require_finite("f", f.values, f.axes)
     if t == 0.0:
         return TruncatedFunction(f.axes, f.values.copy())
-    return TruncatedFunction(f.axes, _kernel_apply(f, t, kernel, order,
-                                                   want_gradient=False))
+    return TruncatedFunction(f.axes, _transition(f, t, kernel, order))
 
 
 def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
@@ -344,16 +334,20 @@ def ou_gradient_apply(f: TruncatedFunction, t: float, kernel: OuKernel,
     """Gradient D(T_t f) via Gaussian integration by parts.
 
     Output gains a trailing axis of length d.  t must be positive (the
-    reweighting is singular at t = 0), and a NaN t raises ValueError; the
+    reweighting is singular at t = 0), and a NaN t raises ValueError, as
+    does a degenerate axis, where the t-transition has std 0; the
     estimate needs only bounded f, no smoothness (order, dimension and
-    finite values: see :func:`ou_semigroup_apply`).
+    finite values: see :func:`ou_semigroup_apply`).  All are checked
+    before any quadrature node is built.
     """
     if not t > 0:
         raise ValueError(f"gradient of the transition requires t > 0, got {t}")
     _check_quadrature(f, kernel, order, "f")
     _require_finite("f", f.values, f.axes)
-    return TruncatedFunction(f.axes, _kernel_apply(f, t, kernel, order,
-                                                   want_gradient=True))
+    if np.any(kernel.transition(t)[1] == 0.0):
+        raise ValueError("gradient weights are singular for a degenerate axis")
+    return TruncatedFunction(f.axes, np.stack(
+        [_transition(f, t, kernel, order, b) for b in range(f.dim)], axis=-1))
 
 
 @dataclass
@@ -472,7 +466,7 @@ def _sweep_operators(axes, kernel: OuKernel, order: int, nodes: np.ndarray,
     Returns A (G, G) and B (d, G, G) with new_U = A psi and new_DU[..., b]
     = B[b] psi for psi sampled on the G grid nodes (C order), where
     A = head I + sum_t damp_t K_t and K_t is the Gauss-Hermite transition
-    operator at time node t, which :func:`_kernel_apply` applies to a
+    operator at time node t, which :func:`_transition` applies to a
     single function one axis at a time.  The tensor rule, the diagonal
     kernel and multilinear interpolation all factor per axis, so K_t is
     the Kronecker product of 1-D matrices (B[b] takes the gradient
@@ -549,8 +543,9 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     when the sup-norm change of (U, DU) falls below 1e-3 * sup|G|;
     growth of the change across three consecutive sweeps raises
     :class:`PicardDivergenceError` (increase lambda).  Grids of more
-    than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`, and
-    a G or Bbar that is not finite at a grid node raises
+    than :data:`MAX_PICARD_NODES` nodes raise :class:`ConfigError`, as
+    does a ``bbar`` that returns other than (G, d) at the G grid nodes,
+    and a G or Bbar that is not finite at a grid node raises
     :class:`IntegrationError` naming the node, before any assembly;
     ``max_iter`` < 1 raises :class:`ConfigError` before any work.
     """
@@ -566,7 +561,11 @@ def picard_solve(g: TruncatedFunction, bbar, lam: float, kernel: OuKernel,
     out = g.out_shape
     x = g.grid_points()
     _require_finite("G", g.values, g.axes)
-    bbar_vals = np.asarray(bbar(x), dtype=float).reshape(g.grid_shape + (d,))
+    bbar_vals = np.asarray(bbar(x), dtype=float)
+    if bbar_vals.shape != (x.shape[0], d):
+        raise ConfigError(f"bbar returned shape {bbar_vals.shape}, expected "
+                          f"{(x.shape[0], d)}: one row of d per grid node")
+    bbar_vals = bbar_vals.reshape(g.grid_shape + (d,))
     _require_finite("Bbar", bbar_vals, g.axes)
     tol = 1e-3 * max(g.sup_norm(), 1e-12)
 

@@ -336,6 +336,18 @@ class TestMixing:
         with pytest.raises(ConfigError, match="at least 2 replicas"):
             mixing_diagnostic(heat, np.zeros(8), horizon=0.2, n_replicas=reps, seed=1)
 
+    @pytest.mark.parametrize("reps", [2.5, 4.0, True])
+    def test_replica_count_must_be_an_integer(self, heat, reps):
+        # 2.5 used to run 2 replicas
+        with pytest.raises(ConfigError, match="n_replicas must be an integer"):
+            mixing_diagnostic(heat, np.zeros(8), horizon=0.2, n_replicas=reps, seed=1)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_horizon_must_be_finite(self, heat, horizon):
+        with pytest.raises(ConfigError, match="horizon = "):
+            mixing_diagnostic(heat, np.zeros(8), horizon=horizon, n_replicas=4,
+                              seed=1)
+
     def test_horizon_is_whole_steps(self, heat):
         with pytest.raises(ConfigError, match="horizon = 0.05"):
             mixing_diagnostic(heat, np.zeros(8), horizon=0.05, n_replicas=4,
@@ -353,6 +365,14 @@ class TestParamsValidation:
             AveragingParams(t_burn=1.0, t_avg=0.0)
         with pytest.raises(ConfigError):
             AveragingParams(t_burn=1.0, t_avg=1.0, n_replicas=1)
+
+    @pytest.mark.parametrize("reps", [2.5, 4.0, np.float64(3.0), True])
+    def test_replica_count_must_be_an_integer(self, reps):
+        # 2.5 used to be accepted, and to fail later in numpy
+        with pytest.raises(ConfigError, match="n_replicas must be an integer"):
+            AveragingParams(t_burn=1.0, t_avg=1.0, n_replicas=reps)
+        assert AveragingParams(t_burn=1.0, t_avg=1.0,
+                               n_replicas=np.int64(3)).n_replicas == 3
 
     @pytest.mark.parametrize("t_avg", [0.05, 0.03, 1e-12])
     def test_averaging_window_is_whole_steps(self, t_avg):

@@ -121,6 +121,12 @@ class TestIncrementScaling:
         # finest delta gives the smallest integral; monotone across grid
         assert all(a > b for a, b in zip(rep.estimates, rep.estimates[1:]))
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, heat, delta):
+        with pytest.raises(ConfigError, match="delta = "):
+            increment_scaling(heat, 1e-2, [0.02, delta], 0.1, StepScheme(1e-2),
+                              n_mc=2, seed=3)
+
     def test_misaligned_delta_rejected(self, heat):
         # off the step grid, zero, negative, or rounding to zero steps
         for delta in (0.015, 0.0, -0.004, 1e-13):
@@ -214,6 +220,17 @@ class TestCorrelationDecay:
         assert max(abs(e) for e in rep.estimates) < 1e-12
         assert rep.verdict == "inconclusive"  # no decaying signal to fit
 
+
+    @pytest.mark.parametrize("lag_max", [np.nan, np.inf, -1.0, 0.0])
+    def test_lag_max_must_be_finite_and_positive(self, heat8, monkeypatch, lag_max):
+        # -1 used to give "inconclusive" on a single lag, NaN a ValueError
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a path was stepped")
+
+        monkeypatch.setattr("slowfast_spde.experiments._frozen_fast", no_stepping)
+        with pytest.raises(ConfigError, match="lag_max must be finite and positive"):
+            correlation_decay(heat8, np.zeros(8), lag_max=lag_max, n_mc=4, seed=1,
+                              t_burn=0.1, window=1.0)
 
     @pytest.mark.parametrize("kw,name", [({"t_burn": 0.05}, "t_burn"),
                                          ({"window": 1.05}, "window")])

@@ -50,6 +50,12 @@ class TestHeatExample:
         with pytest.raises(ConfigError, match="n_modes must be positive"):
             heat_example(0.1, 0.1, 0)
 
+    @pytest.mark.parametrize("n_modes", [2.5, 8.0, True])
+    def test_mode_count_must_be_an_integer(self, n_modes):
+        # 2.5 used to build 3 eigenvalues under n_modes = 2.5
+        with pytest.raises(ConfigError, match="n_modes must be an integer, got "):
+            heat_example(0.1, 0.1, n_modes)
+
     @pytest.mark.parametrize("change,message", [
         ({"l_f": -0.1}, "l_f must be nonnegative"),
         ({"bound_b": math.inf}, "drift bounds must be finite"),

@@ -40,6 +40,14 @@ class TestConvIncrementLaw:
         with pytest.raises(ValueError):
             nz.conv_increment_law(0.0, spec, eigs)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_step(self, delta):
+        # NaN used to give all-NaN laws, and inf the stationary law
+        eigs = OperatorSpectrum(np.array([1.0]))
+        spec = nz.NoiseSpectrum(np.array([1.0]))
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            nz.conv_increment_law(delta, spec, eigs)
+
     def test_matches_fine_euler_oracle(self):
         # mode k=2 of the heat family: lambda=4, q=4^-0.1, delta=0.1
         lam, q, delta = 4.0, 4.0 ** (-0.1), 0.1
@@ -193,6 +201,23 @@ class TestBlockDraw:
     def test_stream_without_modes_is_rejected(self):
         with pytest.raises(ValueError, match="n_modes must be positive"):
             nz.NoiseStream(3, 0)
+
+    @pytest.mark.parametrize("kw", [{"n_modes": 2.5}, {"n_modes": 4.0},
+                                    {"n_modes": True}, {"index": 1.5},
+                                    {"index": False}, {"index": "1"}],
+                             ids=["modes-2.5", "modes-4.0", "modes-true",
+                                  "index-1.5", "index-false", "index-str"])
+    def test_counts_must_be_integers(self, kw):
+        # 2.5 modes used to draw 2, and index 1.5 to replay index 1
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+            nz.NoiseStream(**{"seed": 3, "n_modes": 4, **kw})
+
+    def test_numpy_integer_counts_key_the_same_stream(self):
+        stream = nz.NoiseStream(5, np.int64(4), index=np.uint8(2))
+        assert type(stream.n_modes) is int and type(stream.index) is int
+        assert np.array_equal(stream.standard_normals(),
+                              nz.NoiseStream(5, 4, index=2).standard_normals())
 
     def test_out_of_the_wrong_shape_is_rejected(self):
         stream = nz.derive_substream(3, 0, "W2", 4)

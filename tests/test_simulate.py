@@ -328,6 +328,38 @@ class TestValidationAndBounds:
             run(heat, w1, w2)
         assert w1.draws == w2.draws == 0
 
+    @pytest.mark.parametrize("t_final,dt,message", [
+        (0.1, np.nan, "dt must be positive"), (0.1, np.inf, "dt must be positive"),
+        (np.nan, 0.01, "t_final"), (np.inf, 0.01, "t_final"),
+        (-np.inf, 0.01, "t_final")],
+        ids=["dt-nan", "dt-inf", "t_final-nan", "t_final-inf", "t_final-minus-inf"])
+    def test_non_finite_step_or_horizon_rejected(self, heat, t_final, dt, message):
+        w1, w2 = streams(8)
+        zero = np.zeros(8)
+        with pytest.raises(ConfigError, match=message):
+            simulate_frozen(heat, zero, zero, t_final, dt, w2)
+        with pytest.raises(ConfigError, match=message):
+            simulate_averaged(heat, zero, t_final, dt, w1, lambda x: 0.0 * x)
+        if np.isfinite(dt):
+            with pytest.raises(ConfigError, match=message):
+                simulate_slow_fast(heat, 0.1, zero, zero, t_final, StepScheme(dt),
+                                   w1, w2)
+        assert w1.draws == w2.draws == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, np.nan])
+    def test_substep_rule_needs_eps_in_the_unit_interval(self, heat, eps):
+        # eps = 2 used to run silently, and eps = 0 to divide by zero
+        scheme = StepScheme(0.01)
+        w1, w2 = streams(8)
+        xs, _ = simulate_slow_fast(heat, 0.1, np.zeros(8), np.zeros(8), 0.02,
+                                   scheme, w1, w2)
+        with pytest.raises(ConfigError, match="eps must lie in"):
+            scheme.n_substeps(eps)
+        replay = w2.replay()
+        with pytest.raises(ConfigError, match="eps must lie in"):
+            simulate_auxiliary_fast(heat, eps, xs, 0.01, np.zeros(8), scheme, replay)
+        assert replay.draws == 0
+
     @pytest.mark.parametrize("t_final, dt", [(0.0105, 0.01), (0.05, 0.02),
                                              (-0.02, 0.01)])
     def test_horizon_not_a_step_multiple_rejected(self, heat, t_final, dt):

@@ -378,6 +378,27 @@ class TestRefusedArguments:
         with pytest.raises(IntegrationError, match=message):
             ou_gradient_apply(f, 0.1, kernel)
 
+    def test_degenerate_axis_in_the_gradient(self, no_quadrature):
+        # q = 0 on the second axis: its transition has std 0, and the
+        # integration-by-parts weights decay / std are singular there
+        kernel = OuKernel(np.array([1.0, 4.0]), np.array([1.0, 0.0]))
+        f = TruncatedFunction.from_callable(np.cos, box_axes(kernel, 5))
+        with pytest.raises(ValueError, match="gradient weights are singular "
+                                             "for a degenerate axis"):
+            ou_gradient_apply(f, 0.5, kernel)
+
+    @pytest.mark.parametrize("shape", [(34,), (17,), (17, 2), (1, 17)])
+    def test_bbar_rows_off_the_grid(self, monkeypatch, shape):
+        # (17,) at d = 1 is refused too: Bbar takes one row of d per node
+        def no_assembly(*args):
+            raise AssertionError("assembled a sweep for a misshapen Bbar")
+
+        monkeypatch.setattr(zvonkin, "_sweep_operators", no_assembly)
+        g = TruncatedFunction.from_callable(np.cos, box_axes(KERNEL, 17))
+        message = f"bbar returned shape {shape}, expected (17, 1)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            picard_solve(g, lambda pts: np.zeros(shape), 2.0, KERNEL)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_cap_below_one(self, no_quadrature, max_iter):
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
@@ -465,9 +486,11 @@ class TestTruncatedFunction:
         assert f.sup_norm() == float(np.max(np.linalg.norm(values, axis=-1)))
 
     @pytest.mark.parametrize("axis", [[0.0, 2.0, 1.0], [1.0, 0.0], [0.0, 1.0, 1.0],
-                                      [0.0, np.nan, 1.0], [0.5], [], [[0.0, 1.0]]],
+                                      [0.0, np.nan, 1.0], [0.5], [], [[0.0, 1.0]],
+                                      [-1.0, 0.0, np.inf], [-np.inf, 0.0]],
                              ids=["unsorted", "decreasing", "repeated", "nan",
-                                  "one-point", "empty", "two-d"])
+                                  "one-point", "empty", "two-d", "infinite",
+                                  "minus-infinite"])
     def test_bad_axis_is_config_error(self, axis):
         axis = np.array(axis)
         with pytest.raises(ConfigError, match="strictly increasing"):
@@ -478,6 +501,16 @@ class TestTruncatedFunction:
 
         with pytest.raises(ConfigError, match="strictly increasing"):
             TruncatedFunction.from_callable(fn, (axis,))
+
+    @pytest.mark.parametrize("rows", [
+        lambda p: np.concatenate([p, p]), lambda p: p[1:], lambda p: 1.0,
+        lambda p: p.T], ids=["two-per-node", "one-short", "scalar", "transposed"])
+    def test_tabulated_rows_off_the_grid_are_config_error(self, rows):
+        # fn must give one row per node; numpy used to refuse the reshape
+        axes = (np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 2))
+        with pytest.raises(ConfigError, match=re.escape("fn returned shape ")
+                           + r".*" + re.escape("expected (34, ...)")):
+            TruncatedFunction.from_callable(rows, axes)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), ()])
     def test_values_off_the_grid_shape_are_config_error(self, shape):
